@@ -13,7 +13,10 @@ using proto::PathParams;
 using util::Json;
 
 NodeDaemon::NodeDaemon(os::NodeOs& node, Config config)
-    : node_(node), config_(config), scope_("node." + node.hostname()) {
+    : node_(node),
+      config_(config),
+      scope_("node." + node.hostname()),
+      heartbeat_path_("/nodes/" + node.hostname() + "/stats") {
   util::MetricsRegistry& m = node_.simulation().metrics();
   heartbeats_sent_ = &m.counter(scope_ + ".heartbeats_sent");
   cpu_gauge_ = &m.gauge(scope_ + ".cpu_utilization");
@@ -129,8 +132,8 @@ void NodeDaemon::send_heartbeat() {
   proto::RetryPolicy policy =
       proto::RetryPolicy::single(config_.heartbeat_period);
   client_->call(config_.pimaster_ip, config_.pimaster_port,
-                proto::Method::kPost, "/nodes/" + node_.hostname() + "/stats",
-                stats_json(), [](util::Result<HttpResponse>) {}, policy);
+                proto::Method::kPost, heartbeat_path_, stats_json(),
+                [](util::Result<HttpResponse>) {}, policy);
 }
 
 void NodeDaemon::fetch_layers(util::JsonArray layers, size_t index,

@@ -128,7 +128,8 @@ class NodeDaemon {
 
   os::NodeOs& node_;
   Config config_;
-  std::string scope_;  // "node.<hostname>"
+  std::string scope_;           // "node.<hostname>"
+  std::string heartbeat_path_;  // "/nodes/<hostname>/stats" on the pimaster
   AppFactory app_factory_;
   proto::Router router_;
   std::unique_ptr<proto::DhcpClient> dhcp_;

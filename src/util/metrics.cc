@@ -197,25 +197,33 @@ bool in_scope(const std::string& name, const std::string& prefix,
 
 }  // namespace
 
-Json MetricsRegistry::snapshot(const std::string& prefix) const {
-  // Symbol ids are first-use order; the export contract is sorted-by-name
-  // (byte-identical to the historical std::map-backed layout), so build a
-  // name-sorted view once and walk it per kind. Snapshot is a cold path.
-  std::vector<std::pair<const std::string*, std::uint32_t>> by_name;
-  by_name.reserve(names_.size());
-  for (std::uint32_t id = 0; id < names_.size(); ++id) {
-    by_name.emplace_back(&names_.str(names_.symbol_at(id)), id);
+void MetricsRegistry::extend_index() const {
+  const std::size_t indexed = by_name_.size();
+  if (indexed == names_.size()) return;
+  for (auto id = static_cast<std::uint32_t>(indexed); id < names_.size();
+       ++id) {
+    by_name_.push_back(id);
   }
-  std::sort(by_name.begin(), by_name.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  const auto by_str = [this](std::uint32_t a, std::uint32_t b) {
+    return name_at(a) < name_at(b);
+  };
+  const auto tail = by_name_.begin() + static_cast<std::ptrdiff_t>(indexed);
+  std::sort(tail, by_name_.end(), by_str);
+  std::inplace_merge(by_name_.begin(), tail, by_name_.end(), by_str);
+}
+
+Json MetricsRegistry::snapshot(const std::string& prefix) const {
+  // Heartbeats call this every beat for every node, so it is a hot path:
+  // the export contract is sorted-by-name, and by_name_ already is.
+  extend_index();
 
   Json counters = Json::object();
   Json gauges = Json::object();
   Json histograms = Json::object();
   std::string key;
-  for (const auto& [name, id] : by_name) {
+  const auto emit = [&](std::uint32_t id) {
     const Symbol s = names_.symbol_at(id);
-    if (!in_scope(*name, prefix, &key)) continue;
+    if (!in_scope(name_at(id), prefix, &key)) return;
     if (const Counter* c = peek(counters_, s)) {
       counters.set(key, static_cast<unsigned long long>(c->value()));
     }
@@ -227,6 +235,27 @@ Json MetricsRegistry::snapshot(const std::string& prefix) const {
     if (const Gauge* g = peek(gauges_, s)) gauges.set(key, g->value());
     if (const LogHistogram* h = peek(histograms_, s)) {
       histograms.set(key, h->to_json());
+    }
+  };
+  if (prefix.empty()) {
+    for (std::uint32_t id : by_name_) emit(id);
+  } else {
+    // The scope is `prefix` itself (sorting before all of its subtree, so
+    // emitted first) plus the `prefix.` subtree, which is one contiguous
+    // run of the index. Siblings such as `prefix-x`, `prefix/x` or
+    // `prefix0` are never visited.
+    const Symbol exact = names_.find(prefix);
+    if (exact.valid()) emit(exact.id());
+    const std::string subtree = prefix + '.';
+    auto it = std::lower_bound(
+        by_name_.begin(), by_name_.end(), subtree,
+        [this](std::uint32_t id, const std::string& v) {
+          return name_at(id) < v;
+        });
+    for (; it != by_name_.end() &&
+           name_at(*it).compare(0, subtree.size(), subtree) == 0;
+         ++it) {
+      emit(*it);
     }
   }
   Json j = Json::object();

@@ -25,8 +25,9 @@
 // live in a dense vector indexed by Symbol id, so a handle-keyed lookup is
 // one indexed load and a repeated string-keyed lookup is one hash probe —
 // no std::map node chase, no string compares. Canonical strings appear
-// only at the snapshot() boundary, where keys are sorted by name to keep
-// the JSON byte-identical to the historical std::map layout.
+// only at the snapshot() boundary, which walks a cached name-sorted index
+// of the interned ids, so the JSON stays byte-identical to the historical
+// std::map layout without sorting anything per call.
 #pragma once
 
 #include <cstdint>
@@ -162,16 +163,28 @@ class MetricsRegistry {
   // With a non-empty `prefix`, only metrics named `prefix` or `prefix.*`
   // are exported and the `prefix.` is stripped from the keys — the shape a
   // node daemon serves for its own `node.<hostname>.` scope. Keys iterate
-  // in sorted order, so serialization is deterministic.
+  // in sorted order, so serialization is deterministic. A scoped snapshot
+  // costs O(log N + the scope's own series) over N interned names, plus a
+  // merge of any names interned since the previous snapshot.
   Json snapshot(const std::string& prefix = "") const;
 
  private:
+  // Brings by_name_ up to date with names_ (sorts the new tail, merges).
+  void extend_index() const;
+  const std::string& name_at(std::uint32_t id) const {
+    return names_.str(names_.symbol_at(id));
+  }
+
   // Dense per-kind storage indexed by Symbol id; a slot is null until that
   // (name, kind) pair is first requested. The three kinds share one symbol
   // space, so each vector has gaps — cheap (8 bytes/gap) next to the O(1)
-  // hot-path lookup it buys. snapshot() sorts by canonical name to keep
-  // output deterministic (ids are first-use order, not lexicographic).
+  // hot-path lookup it buys.
   StringTable names_;
+  // Every interned id, sorted by canonical name (ids are first-use order,
+  // not lexicographic). It indexes names, not instruments, so it is stale
+  // only when names_ grows: its size is its generation. Maintained lazily
+  // by snapshot(), hence mutable.
+  mutable std::vector<std::uint32_t> by_name_;
   std::vector<std::unique_ptr<Counter>> counters_;
   std::vector<std::unique_ptr<Gauge>> gauges_;
   std::vector<std::unique_ptr<LogHistogram>> histograms_;

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "util/intern.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace picloud::util {
@@ -226,6 +230,129 @@ TEST(MetricsRegistry, SnapshotIsRegistrationOrderIndependent) {
   b.counter("m.mid").inc(1);
   b.counter("z.last").inc(2);
   EXPECT_EQ(a.snapshot().dump(), b.snapshot().dump());
+}
+
+// What a registry holds under one name, as seen from outside it.
+struct ModelSeries {
+  Counter* counter = nullptr;
+  const std::uint64_t* linked = nullptr;
+  Gauge* gauge = nullptr;
+  LogHistogram* histogram = nullptr;
+};
+
+// The reference snapshot(): sort every name, keep those equal to `prefix`
+// or under `prefix.`, strip `prefix.`. No index, no search.
+Json reference_snapshot(const std::map<std::string, ModelSeries>& model,
+                        const std::string& prefix) {
+  Json counters = Json::object();
+  Json gauges = Json::object();
+  Json histograms = Json::object();
+  const std::string subtree = prefix + ".";
+  for (const auto& [name, series] : model) {  // std::map: name order
+    std::string key;
+    if (prefix.empty() || name == prefix) {
+      key = name;
+    } else if (name.size() > subtree.size() &&
+               name.compare(0, subtree.size(), subtree) == 0) {
+      key = name.substr(subtree.size());
+    } else {
+      continue;
+    }
+    if (series.counter != nullptr) {
+      counters.set(key,
+                   static_cast<unsigned long long>(series.counter->value()));
+    }
+    if (series.linked != nullptr) {
+      counters.set(key, static_cast<unsigned long long>(*series.linked));
+    }
+    if (series.gauge != nullptr) gauges.set(key, series.gauge->value());
+    if (series.histogram != nullptr) {
+      histograms.set(key, series.histogram->to_json());
+    }
+  }
+  Json j = Json::object();
+  j.set("counters", std::move(counters));
+  j.set("gauges", std::move(gauges));
+  j.set("histograms", std::move(histograms));
+  return j;
+}
+
+std::uint64_t read_u64(const void* ctx) {
+  return *static_cast<const std::uint64_t*>(ctx);
+}
+
+TEST(MetricsRegistry, ScopedSnapshotMatchesSortAndFilterReference) {
+  // Adversarial neighbours of the `node.pi-1` scope: `-` sorts before `.`
+  // and `/` after it, so `node.pi-1-x` lands between `node.pi-1` and its
+  // subtree and `node.pi-1/x` right after it; `node.pi-10` shares the
+  // string prefix. `a` / `a.a` collide on the stripped key "a".
+  const std::vector<std::string> bases = {
+      "node.pi-1", "node.pi-10", "node.pi-1-x", "node.pi-1/x",
+      "node.pi-2", "node",       "cloud.master", "a"};
+  const std::vector<std::string> suffixes = {
+      "", ".a", ".cpu", ".rest.calls", ".dedup.hits", ".", ".cpu.p99"};
+  std::vector<std::string> prefixes = {"", "node.pi", "node.pi-1.rest",
+                                       "node.pi-1.", "zzz"};
+  for (const auto& b : bases) {
+    for (const auto& sfx : suffixes) prefixes.push_back(b + sfx);
+  }
+
+  Rng rng(12);
+  MetricsRegistry m;
+  std::map<std::string, ModelSeries> model;
+  std::deque<std::uint64_t> linked_cells;  // stable addresses for ctx
+  std::set<std::string> bare;  // interned, no instrument yet
+  int late_kinds = 0;          // bare names that later got an instrument
+  auto pick = [&rng](const std::vector<std::string>& v) -> const std::string& {
+    return v[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
+  };
+  for (int round = 0; round < 40; ++round) {
+    // New series between snapshots: a stale index would miss them.
+    for (int op = 0; op < 6; ++op) {
+      const std::string name = pick(bases) + pick(suffixes);
+      const std::int64_t kind = rng.uniform_int(0, 4);
+      if (kind == 0) {  // interned now; may get its first kind later
+        m.name_symbol(name);
+        if (model.count(name) == 0) bare.insert(name);
+        continue;
+      }
+      late_kinds += static_cast<int>(bare.erase(name));
+      ModelSeries& series = model[name];
+      switch (kind) {
+        case 1:
+          if (series.linked == nullptr) {
+            series.counter = &m.counter(name);
+            series.counter->inc(static_cast<std::uint64_t>(round + op));
+          }
+          break;
+        case 2:
+          if (series.counter == nullptr && series.linked == nullptr) {
+            linked_cells.push_back(static_cast<std::uint64_t>(round * 7));
+            series.linked = &linked_cells.back();
+            m.link_counter(m.name_symbol(name), &read_u64, series.linked);
+          }
+          break;
+        case 3:
+          series.gauge = &m.gauge(name);
+          series.gauge->set(rng.uniform(0.0, 4.0));
+          break;
+        default:
+          series.histogram = &m.histogram(name);
+          series.histogram->observe(rng.uniform(0.001, 2.0));
+          break;
+      }
+    }
+    for (std::uint64_t& cell : linked_cells) ++cell;
+    for (const std::string& prefix : prefixes) {
+      ASSERT_EQ(m.snapshot(prefix).dump(),
+                reference_snapshot(model, prefix).dump())
+          << "round " << round << ", prefix '" << prefix << "'";
+    }
+  }
+  // The seed reaches the cases the index could get wrong.
+  EXPECT_GT(late_kinds, 0);
+  EXPECT_FALSE(linked_cells.empty());
 }
 
 TEST(TraceBuffer, MaterializedEventsRebuildInternedStrings) {
