@@ -40,6 +40,7 @@ void ChaosMonkey::stop() {
   // Leave links up/down as-is (operators repair them), but clear transient
   // degradation: a stopped monkey should not keep dropping flows.
   for (size_t i : lossy_links_) fabric_.set_link_pair_loss(links_[i], 0);
+  loss_clears_->inc(lossy_links_.size());
   lossy_links_.clear();
 }
 

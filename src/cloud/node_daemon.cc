@@ -16,7 +16,8 @@ NodeDaemon::NodeDaemon(os::NodeOs& node, Config config)
     : node_(node),
       config_(config),
       scope_("node." + node.hostname()),
-      heartbeat_path_("/nodes/" + node.hostname() + "/stats") {
+      heartbeat_path_("/nodes/" + node.hostname() + "/stats"),
+      idem_(node.simulation().metrics(), scope_ + ".dedup", 128) {
   util::MetricsRegistry& m = node_.simulation().metrics();
   heartbeats_sent_ = &m.counter(scope_ + ".heartbeats_sent");
   cpu_gauge_ = &m.gauge(scope_ + ".cpu_utilization");
@@ -26,7 +27,6 @@ NodeDaemon::NodeDaemon(os::NodeOs& node, Config config)
   containers_total_gauge_ = &m.gauge(scope_ + ".containers_total");
   containers_running_gauge_ = &m.gauge(scope_ + ".containers_running");
   power_gauge_ = &m.gauge(scope_ + ".power_watts");
-  idem_.bind_metrics(m, scope_ + ".dedup");
   install_routes();
 }
 
@@ -358,22 +358,21 @@ void NodeDaemon::install_routes() {
         j.set("containers", static_cast<double>(node_.containers().size()));
         j.set("heartbeats_sent",
               static_cast<unsigned long long>(heartbeats_sent_->value()));
+        const util::MetricsRegistry& m = node_.simulation().metrics();
         if (client_ != nullptr) {
-          const proto::RetryStats& rs = client_->retry_stats();
           Json retry = Json::object();
           retry.set("inflight", static_cast<double>(client_->inflight_retries()));
-          retry.set("attempts", static_cast<unsigned long long>(rs.attempts));
-          retry.set("retries", static_cast<unsigned long long>(rs.retries));
-          retry.set("exhausted", static_cast<unsigned long long>(rs.exhausted));
+          for (const char* k : {"attempts", "retries", "exhausted"}) {
+            retry.set(k, static_cast<unsigned long long>(
+                             m.counter_value(scope_ + ".rest." + k)));
+          }
           j.set("retry", std::move(retry));
         }
         Json dedup = Json::object();
-        dedup.set("admitted",
-                  static_cast<unsigned long long>(idem_.stats().admitted));
-        dedup.set("replayed",
-                  static_cast<unsigned long long>(idem_.stats().replayed));
-        dedup.set("coalesced",
-                  static_cast<unsigned long long>(idem_.stats().coalesced));
+        for (const char* k : {"admitted", "replayed", "coalesced"}) {
+          dedup.set(k, static_cast<unsigned long long>(
+                           m.counter_value(scope_ + ".dedup." + k)));
+        }
         j.set("dedup", std::move(dedup));
         return HttpResponse::make(200, std::move(j));
       });

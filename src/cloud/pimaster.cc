@@ -34,12 +34,13 @@ PiMaster::PiMaster(net::Network& network, net::NetNodeId fabric_node,
       sim_(network.simulation()),
       node_(fabric_node),
       config_(std::move(config)),
-      monitor_(sim_, config_.node_liveness_window) {
+      monitor_(sim_, config_.node_liveness_window),
+      idem_(sim_.metrics(), "cloud.master.dedup", 256) {
   util::MetricsRegistry& m = sim_.metrics();
   spawn_requests_ = &m.counter("cloud.master.spawn_requests");
   spawns_ok_ = &m.counter("cloud.master.spawns_ok");
   spawns_failed_ = &m.counter("cloud.master.spawns_failed");
-  idem_.bind_metrics(m, "cloud.master.dedup");
+  dedup_replayed_ = &m.counter("cloud.master.dedup.replayed");
   auto policy = make_policy(config_.placement_policy);
   PICLOUD_CHECK(policy.ok()) << "unknown placement policy \""
                              << config_.placement_policy << "\"";
@@ -634,12 +635,12 @@ void PiMaster::install_routes() {
              proto::Responder respond) {
         // A retried spawn (client resent after a lost response) replays the
         // recorded outcome instead of reporting a spurious name collision.
-        const std::uint64_t replays_before = idem_.stats().replayed;
+        const std::uint64_t replays_before = dedup_replayed_->value();
         proto::Responder once =
             idem_.admit(req.body.get_string("idem"), std::move(respond));
         if (!once) {
           if (util::FaultInjection::instance().recount_replayed_spawn &&
-              idem_.stats().replayed > replays_before) {
+              dedup_replayed_->value() > replays_before) {
             // Planted, schedule-dependent bug for the model checker
             // (util/faults.h): the replay path re-counts the recorded
             // success, which only happens when the duplicate arrived after
@@ -818,23 +819,22 @@ void PiMaster::install_routes() {
                    j.set("instances", static_cast<double>(instances_.size()));
                    j.set("liveness_window_s",
                          config_.node_liveness_window.to_seconds());
+                   const util::MetricsRegistry& m = sim_.metrics();
                    if (client_) {
-                     const proto::RetryStats& rs = client_->retry_stats();
                      Json retry = Json::object();
                      retry.set("inflight",
                                static_cast<double>(client_->inflight_retries()));
-                     retry.set("attempts", static_cast<double>(rs.attempts));
-                     retry.set("retries", static_cast<double>(rs.retries));
-                     retry.set("exhausted", static_cast<double>(rs.exhausted));
+                     for (const char* k : {"attempts", "retries", "exhausted"}) {
+                       retry.set(k, static_cast<double>(m.counter_value(
+                                        std::string("proto.rest.") + k)));
+                     }
                      j.set("retry", std::move(retry));
                    }
                    Json dedup = Json::object();
-                   dedup.set("admitted",
-                             static_cast<double>(idem_.stats().admitted));
-                   dedup.set("replayed",
-                             static_cast<double>(idem_.stats().replayed));
-                   dedup.set("coalesced",
-                             static_cast<double>(idem_.stats().coalesced));
+                   for (const char* k : {"admitted", "replayed", "coalesced"}) {
+                     dedup.set(k, static_cast<double>(m.counter_value(
+                                      std::string("cloud.master.dedup.") + k)));
+                   }
                    j.set("dedup", std::move(dedup));
                    if (reconciler_) {
                      const Reconciler::Stats& cs = reconciler_->stats();

@@ -142,8 +142,6 @@ class PiMaster {
   ClusterMonitor& monitor() { return monitor_; }
   MigrationCoordinator& migrations() { return *migrations_; }
   Reconciler& reconciler() { return *reconciler_; }
-  const proto::IdempotencyCache& idempotency() const { return idem_; }
-  const proto::RestClient* rest_client() const { return client_.get(); }
   net::Ipv4Addr ip() const { return config_.ip; }
   net::NetNodeId fabric_node() const { return node_; }
 
@@ -234,13 +232,14 @@ class PiMaster {
   std::map<std::string, net::Ipv4Addr> node_ips_;  // hostname -> mgmt ip
   // name -> last operation; erased with the instance record (bounded).
   std::map<std::string, OperationRecord> ops_;
-  proto::IdempotencyCache idem_{256};
+  proto::IdempotencyCache idem_;
   std::uint64_t op_seq_ = 0;  // idempotency keys for proxied daemon calls
   std::uint32_t next_container_mac_ = 1;
   // Registry handles under `cloud.master.*` (never null).
   util::Counter* spawn_requests_ = nullptr;
   util::Counter* spawns_ok_ = nullptr;
   util::Counter* spawns_failed_ = nullptr;
+  util::Counter* dedup_replayed_ = nullptr;  // idem_'s replay series
   bool started_ = false;
 };
 

@@ -85,10 +85,11 @@ class Network {
   std::uint64_t messages_dropped() const { return dropped_; }
 
  private:
-  void transmit(NetNodeId src_node, NetNodeId dst_node, Message msg);
-  void transmit_to_node(NetNodeId src_node, NetNodeId dst_node, Message msg);
-  void deliver(Message msg);
-  void deliver_to_node(NetNodeId node, Message msg);
+  // Carries `msg` as a fabric flow from src_node to dst_node, then hands it
+  // to dst_node's node listener on dst_port (`l2`) or to the listener bound
+  // on (msg.dst, msg.dst_port).
+  void transmit(NetNodeId src_node, NetNodeId dst_node, Message msg, bool l2);
+  void deliver(const Message& msg, std::optional<NetNodeId> l2_node);
 
   sim::Simulation& sim_;
   Fabric& fabric_;

@@ -3,7 +3,8 @@
 // The paper's management plane exists to answer "what is the cloud doing
 // right now" (the Fig. 4 panel, per-Pi CPU/memory monitoring of §II-C, the
 // power accounting of Table I). Every layer of this model reports through
-// one registry instead of ad-hoc per-module structs:
+// one registry instead of ad-hoc per-module structs, and readers read the
+// registry rather than a component's copy of it:
 //
 //   * Counter    — monotonically increasing u64 (events, retries, drops);
 //   * Gauge      — last-write-wins double (utilisation, watts, queue depth);
@@ -151,8 +152,9 @@ class MetricsRegistry {
     return histogram(name_symbol(name), min_value, growth, max_buckets);
   }
 
-  // Read-side helpers (tests, endpoints). Missing names read as zero and
-  // do not intern.
+  // Read-side helpers (tests, endpoints): the way to read a count by name.
+  // Missing names read as zero and do not intern, so a caller expecting a
+  // zero also checks has() — a misspelt name would read zero too.
   std::uint64_t counter_value(std::string_view name) const;
   double gauge_value(std::string_view name) const;
   bool has(std::string_view name) const;

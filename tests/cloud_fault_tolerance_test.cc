@@ -109,7 +109,8 @@ TEST_F(FaultCloud, SourceCrashMidPreCopyAborts) {
                                    sim::Duration::millis(1500));
   EXPECT_FALSE(report.success);
   EXPECT_FALSE(report.instance_lost);
-  EXPECT_EQ(cloud_->master().migrations().stats().aborted_source_dead, 1u);
+  EXPECT_EQ(
+      sim_->metrics().counter_value("cloud.migration.aborted_source_dead"), 1u);
   EXPECT_EQ(cloud_->master().migrations().in_flight(), 0u);
   // Nothing half-built on the destination.
   cloud::NodeDaemon* dst = cloud_->daemon_by_hostname("pi-r1-00");
@@ -137,7 +138,8 @@ TEST_F(FaultCloud, DestinationCrashMidPreCopyRollsBackToSource) {
                                    sim::Duration::millis(1500));
   EXPECT_FALSE(report.success);
   EXPECT_FALSE(report.instance_lost);
-  EXPECT_GE(cloud_->master().migrations().stats().aborted_dest_dead, 1u);
+  EXPECT_GE(
+      sim_->metrics().counter_value("cloud.migration.aborted_dest_dead"), 1u);
   EXPECT_EQ(cloud_->master().migrations().in_flight(), 0u);
 
   // The instance must still be serving on the source, thawed, app attached,
@@ -351,9 +353,10 @@ TEST_F(FaultCloud, DuplicateSpawnRequestsCoalesceAndReplay) {
   // Exactly one instance exists; the dedup cache saw one run, one coalesce,
   // one replay.
   EXPECT_EQ(cloud_->master().instances().size(), 1u);
-  EXPECT_EQ(cloud_->master().idempotency().stats().admitted, 1u);
-  EXPECT_GE(cloud_->master().idempotency().stats().coalesced, 1u);
-  EXPECT_GE(cloud_->master().idempotency().stats().replayed, 1u);
+  const util::MetricsRegistry& m = sim_->metrics();
+  EXPECT_EQ(m.counter_value("cloud.master.dedup.admitted"), 1u);
+  EXPECT_GE(m.counter_value("cloud.master.dedup.coalesced"), 1u);
+  EXPECT_GE(m.counter_value("cloud.master.dedup.replayed"), 1u);
 
   // A different key with the same name is a genuine conflict.
   spec.set("idem", "op-456");

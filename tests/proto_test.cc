@@ -485,10 +485,12 @@ TEST(RestRetry, RecoversWhenServerComesUpLate) {
   w.sim.after(sim::Duration::seconds(5), [&]() { server.start(); });
   w.sim.run();
   EXPECT_TRUE(got);
-  EXPECT_GE(client.retry_stats().attempts, 2u);
-  EXPECT_GE(client.retry_stats().retries, 1u);
-  EXPECT_EQ(client.retry_stats().succeeded_after_retry, 1u);
-  EXPECT_EQ(client.retry_stats().exhausted, 0u);
+  EXPECT_GE(w.sim.metrics().counter_value("proto.rest.attempts"), 2u);
+  EXPECT_GE(w.sim.metrics().counter_value("proto.rest.retries"), 1u);
+  EXPECT_EQ(w.sim.metrics().counter_value("proto.rest.succeeded_after_retry"),
+            1u);
+  EXPECT_TRUE(w.sim.metrics().has("proto.rest.exhausted"));
+  EXPECT_EQ(w.sim.metrics().counter_value("proto.rest.exhausted"), 0u);
   EXPECT_EQ(client.inflight_retries(), 0u);
 }
 
@@ -506,10 +508,10 @@ TEST(RestRetry, ExhaustsTheAttemptBudget) {
               RetryPolicy::standard(3, sim::Duration::millis(500)));
   w.sim.run();
   EXPECT_TRUE(got_error);
-  EXPECT_EQ(client.retry_stats().calls, 1u);
-  EXPECT_EQ(client.retry_stats().attempts, 3u);
-  EXPECT_EQ(client.retry_stats().retries, 2u);
-  EXPECT_EQ(client.retry_stats().exhausted, 1u);
+  EXPECT_EQ(w.sim.metrics().counter_value("proto.rest.calls"), 1u);
+  EXPECT_EQ(w.sim.metrics().counter_value("proto.rest.attempts"), 3u);
+  EXPECT_EQ(w.sim.metrics().counter_value("proto.rest.retries"), 2u);
+  EXPECT_EQ(w.sim.metrics().counter_value("proto.rest.exhausted"), 1u);
   EXPECT_EQ(client.inflight_retries(), 0u);
 }
 
@@ -531,7 +533,8 @@ TEST(RestRetry, StopsAtTheOverallDeadline) {
               policy);
   w.sim.run();
   EXPECT_TRUE(got_error);
-  EXPECT_EQ(client.retry_stats().deadline_exceeded, 1u);
+  EXPECT_EQ(w.sim.metrics().counter_value("proto.rest.deadline_exceeded"),
+            1u);
   // The call gives up no later than deadline + one attempt timeout.
   EXPECT_LE((failed_at - sim::SimTime::zero()).to_seconds(), 3.6);
 }
@@ -555,8 +558,9 @@ TEST(RestRetry, HttpErrorsAreDefinitiveNotRetried) {
               RetryPolicy::standard(5, sim::Duration::seconds(2)));
   w.sim.run();
   EXPECT_EQ(responses, 1);
-  EXPECT_EQ(client.retry_stats().attempts, 1u);
-  EXPECT_EQ(client.retry_stats().retries, 0u);
+  EXPECT_EQ(w.sim.metrics().counter_value("proto.rest.attempts"), 1u);
+  EXPECT_TRUE(w.sim.metrics().has("proto.rest.retries"));
+  EXPECT_EQ(w.sim.metrics().counter_value("proto.rest.retries"), 0u);
   EXPECT_EQ(server.requests_served(), 1u);
 }
 
@@ -586,7 +590,8 @@ TEST(RestRetry, SameSeedGivesIdenticalBackoffSchedule) {
 // IdempotencyCache
 
 TEST(Idempotency, FreshKeyRunsAndDuplicateReplays) {
-  IdempotencyCache cache(8);
+  util::MetricsRegistry metrics;
+  IdempotencyCache cache(metrics, "dedup", 8);
   std::vector<int> answers;
   Responder once =
       cache.admit("op-1", [&](HttpResponse r) { answers.push_back(r.status); });
@@ -599,12 +604,13 @@ TEST(Idempotency, FreshKeyRunsAndDuplicateReplays) {
   ASSERT_EQ(answers.size(), 2u);
   EXPECT_EQ(answers[0], 201);
   EXPECT_EQ(answers[1], 201);
-  EXPECT_EQ(cache.stats().admitted, 1u);
-  EXPECT_EQ(cache.stats().replayed, 1u);
+  EXPECT_EQ(metrics.counter_value("dedup.admitted"), 1u);
+  EXPECT_EQ(metrics.counter_value("dedup.replayed"), 1u);
 }
 
 TEST(Idempotency, InFlightDuplicatesCoalesce) {
-  IdempotencyCache cache(8);
+  util::MetricsRegistry metrics;
+  IdempotencyCache cache(metrics, "dedup", 8);
   std::vector<int> answers;
   Responder once =
       cache.admit("op-2", [&](HttpResponse r) { answers.push_back(r.status); });
@@ -619,11 +625,12 @@ TEST(Idempotency, InFlightDuplicatesCoalesce) {
   EXPECT_TRUE(answers.empty());  // nothing answered yet
   once(HttpResponse::make(200));
   EXPECT_EQ(answers.size(), 3u);  // original + both waiters
-  EXPECT_EQ(cache.stats().coalesced, 2u);
+  EXPECT_EQ(metrics.counter_value("dedup.coalesced"), 2u);
 }
 
 TEST(Idempotency, EmptyKeyBypassesTheCache) {
-  IdempotencyCache cache(8);
+  util::MetricsRegistry metrics;
+  IdempotencyCache cache(metrics, "dedup", 8);
   int runs = 0;
   for (int i = 0; i < 3; ++i) {
     Responder r = cache.admit("", [&](HttpResponse) {});
@@ -634,17 +641,20 @@ TEST(Idempotency, EmptyKeyBypassesTheCache) {
   }
   EXPECT_EQ(runs, 3);  // legacy callers keep run-every-time semantics
   EXPECT_EQ(cache.size(), 0u);
+  EXPECT_TRUE(metrics.has("dedup.admitted"));
+  EXPECT_EQ(metrics.counter_value("dedup.admitted"), 0u);
 }
 
 TEST(Idempotency, CompletedEntriesEvictFifo) {
-  IdempotencyCache cache(2);
+  util::MetricsRegistry metrics;
+  IdempotencyCache cache(metrics, "dedup", 2);
   for (int i = 0; i < 4; ++i) {
     Responder r = cache.admit("k" + std::to_string(i), [](HttpResponse) {});
     ASSERT_TRUE(r != nullptr);
     r(HttpResponse::make(200));
   }
   EXPECT_LE(cache.size(), 2u);
-  EXPECT_GE(cache.stats().evicted, 2u);
+  EXPECT_GE(metrics.counter_value("dedup.evicted"), 2u);
   // The oldest key fell out, so it runs again (at-most-once is bounded by
   // cache capacity, as documented).
   EXPECT_TRUE(cache.admit("k0", [](HttpResponse) {}) != nullptr);
@@ -654,7 +664,8 @@ TEST(Idempotency, EvictedKeyReusesItsInternedSlot) {
   // Keys are interned once; eviction frees the entry but the interned key
   // (and its dense slot) survives, so a re-admitted key runs fresh and then
   // replays its *new* response — not the evicted one.
-  IdempotencyCache cache(1);
+  util::MetricsRegistry metrics;
+  IdempotencyCache cache(metrics, "dedup", 1);
   Responder r0 = cache.admit("op", [](HttpResponse) {});
   ASSERT_TRUE(r0 != nullptr);
   r0(HttpResponse::make(201));
@@ -681,14 +692,36 @@ TEST(Idempotency, LiveEntriesStayBoundedUnderDistinctKeyChurn) {
   // size() counts live entries, which the FIFO keeps at or under capacity
   // however many distinct keys flow through (the interned key table itself
   // is append-only — bounded by distinct mutations per run, as documented).
-  IdempotencyCache cache(4);
+  util::MetricsRegistry metrics;
+  IdempotencyCache cache(metrics, "dedup", 4);
   for (int i = 0; i < 64; ++i) {
     Responder r = cache.admit("key-" + std::to_string(i), [](HttpResponse) {});
     ASSERT_TRUE(r != nullptr);
     r(HttpResponse::make(200));
     EXPECT_LE(cache.size(), 4u);
   }
-  EXPECT_EQ(cache.stats().evicted, 60u);
+  EXPECT_EQ(metrics.counter_value("dedup.evicted"), 60u);
+}
+
+TEST(Idempotency, CachesUnderDistinctPrefixesCountSeparately) {
+  // Two owners share one registry (the master and every node daemon do):
+  // each cache's series carry its own prefix, so neither sees the other's
+  // activity, and the same key in both caches runs once per cache.
+  util::MetricsRegistry metrics;
+  IdempotencyCache master(metrics, "cloud.master.dedup", 8);
+  IdempotencyCache daemon(metrics, "node.pi-1.dedup", 8);
+  for (IdempotencyCache* cache : {&master, &daemon}) {
+    Responder once = cache->admit("op", [](HttpResponse) {});
+    ASSERT_TRUE(once != nullptr);
+    once(HttpResponse::make(201));
+  }
+  EXPECT_TRUE(master.admit("op", [](HttpResponse) {}) == nullptr);
+  EXPECT_TRUE(master.admit("op", [](HttpResponse) {}) == nullptr);
+  EXPECT_EQ(metrics.counter_value("cloud.master.dedup.admitted"), 1u);
+  EXPECT_EQ(metrics.counter_value("cloud.master.dedup.replayed"), 2u);
+  EXPECT_EQ(metrics.counter_value("node.pi-1.dedup.admitted"), 1u);
+  EXPECT_TRUE(metrics.has("node.pi-1.dedup.replayed"));
+  EXPECT_EQ(metrics.counter_value("node.pi-1.dedup.replayed"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -765,6 +798,18 @@ TEST(Health, MasterAndDaemonAnswerWithControlPlaneStats) {
     EXPECT_TRUE(done);
     return out;
   };
+  // /health reads its retry and dedup blocks from the registry series named
+  // after their keys. A missing series would read 0, so each must exist.
+  auto expect_series = [&](const Json& block, const std::string& prefix,
+                           std::initializer_list<const char*> keys) {
+    for (const char* key : keys) {
+      const std::string name = prefix + key;
+      EXPECT_TRUE(sim.metrics().has(name)) << name;
+      EXPECT_EQ(block.get_number(key),
+                static_cast<double>(sim.metrics().counter_value(name)))
+          << name;
+    }
+  };
 
   HttpResponse master = probe(cloud.master_ip(), cloud::PiMaster::kPort);
   EXPECT_EQ(master.status, 200);
@@ -774,6 +819,11 @@ TEST(Health, MasterAndDaemonAnswerWithControlPlaneStats) {
   EXPECT_GT(master.body.get_number("liveness_window_s"), 0);
   EXPECT_TRUE(master.body.has("dedup"));
   EXPECT_TRUE(master.body.has("reconciler"));
+  EXPECT_TRUE(master.body.has("retry"));
+  expect_series(master.body.get("retry"), "proto.rest.",
+                {"attempts", "retries", "exhausted"});
+  expect_series(master.body.get("dedup"), "cloud.master.dedup.",
+                {"admitted", "replayed", "coalesced"});
 
   HttpResponse daemon = probe(cloud.daemon(0).ip(), cloud::NodeDaemon::kPort);
   EXPECT_EQ(daemon.status, 200);
@@ -783,6 +833,11 @@ TEST(Health, MasterAndDaemonAnswerWithControlPlaneStats) {
   // The daemon's heartbeat client reports its retry counters.
   EXPECT_TRUE(daemon.body.has("retry"));
   EXPECT_GE(daemon.body.get("retry").get_number("attempts"), 1);
+  const std::string scope = cloud.daemon(0).metrics_scope();
+  expect_series(daemon.body.get("retry"), scope + ".rest.",
+                {"attempts", "retries", "exhausted"});
+  expect_series(daemon.body.get("dedup"), scope + ".dedup.",
+                {"admitted", "replayed", "coalesced"});
 }
 
 }  // namespace

@@ -208,8 +208,8 @@ void per_file_rules(const ProjectModel& model, int fi, const Reporter& report) {
       }
     }
 
-    // metrics-registry: ad-hoc Stats structs outside util/ must be value
-    // snapshots of registry series.
+    // metrics-registry: an ad-hoc Stats struct outside util/ in a file that
+    // never touches the registry is a parallel counter store.
     if (f.module != "util" && !metrics_aware && t.text == "struct" &&
         v.is_ident(ci + 1)) {
       const std::string& name = v.tok(ci + 1).text;
@@ -218,8 +218,8 @@ void per_file_rules(const ProjectModel& model, int fi, const Reporter& report) {
         report(fi, t.line, "metrics-registry",
                "'struct " + name +
                    "' is a parallel counter store; register the series with "
-                   "the MetricsRegistry (util/metrics.h) and keep this as a "
-                   "value snapshot of it");
+                   "the MetricsRegistry (util/metrics.h) and have callers "
+                   "read the registry");
       }
     }
   }
