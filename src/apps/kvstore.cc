@@ -71,7 +71,7 @@ void KvStoreApp::stop() {
 void KvStoreApp::reply(net::Ipv4Addr to, std::uint16_t port, Json body,
                        double padding) {
   if (container_ == nullptr) return;
-  container_->send(to, port, body.dump(), params_.port, padding);
+  container_->send(to, port, std::move(body), params_.port, padding);
 }
 
 void KvStoreApp::update_brownout() {
@@ -88,9 +88,8 @@ void KvStoreApp::update_brownout() {
 
 void KvStoreApp::on_request(const net::Message& msg) {
   if (container_ == nullptr) return;
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  Json request = std::move(parsed).value();
+  if (!msg.body.is_object()) return;
+  const Json& request = msg.body;
 
   if (request.get_string("op") == "health") {
     Json body = Json::object();

@@ -226,9 +226,7 @@ bool LbApp::choose_backend(net::Ipv4Addr exclude, bool use_exclude,
 
 void LbApp::on_client(const net::Message& msg) {
   if (container_ == nullptr) return;
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  Json request = std::move(parsed).value();
+  if (!msg.body.is_object()) return;
 
   ++requests_received_;
   if (m_received_ != nullptr) m_received_->inc();
@@ -237,9 +235,9 @@ void LbApp::on_client(const net::Message& msg) {
   Proxy proxy;
   proxy.client = msg.src;
   proxy.client_port = msg.src_port;
-  proxy.client_id = request.get_number("id");
-  request.set("id", static_cast<unsigned long long>(pid));
-  proxy.payload = request.dump();
+  proxy.client_id = msg.body.get_number("id");
+  proxy.body = msg.body;
+  proxy.body.set("id", static_cast<unsigned long long>(pid));
   proxy.padding = msg.padding_bytes;
 
   net::Ipv4Addr target;
@@ -251,7 +249,7 @@ void LbApp::on_client(const net::Message& msg) {
     body.set("id", proxy.client_id);
     body.set("status", 503);
     body.set("lb_error", std::string("no_backend"));
-    container_->send(proxy.client, proxy.client_port, body.dump(),
+    container_->send(proxy.client, proxy.client_port, std::move(body),
                      params_.port, 128);
     return;
   }
@@ -282,7 +280,7 @@ void LbApp::forward(std::uint64_t pid) {
     attempt_failed(pid);
   });
   bool sent = container_->send(proxy.backend, params_.backend_port,
-                               proxy.payload, params_.upstream_port,
+                               proxy.body, params_.upstream_port,
                                proxy.padding);
   if (!sent) {
     // No route (backend's node is gone): fail fast instead of waiting out
@@ -325,11 +323,10 @@ void LbApp::attempt_failed(std::uint64_t pid) {
   body.set("id", proxy.client_id);
   body.set("status", 503);
   body.set("lb_error", std::string("upstream_failed"));
-  finish(pid, body.dump(), 128, /*ok=*/false);
+  finish(pid, std::move(body), 128, /*ok=*/false);
 }
 
-void LbApp::finish(std::uint64_t pid, const std::string& payload,
-                   double padding, bool ok) {
+void LbApp::finish(std::uint64_t pid, Json body, double padding, bool ok) {
   auto it = proxies_.find(pid);
   if (it == proxies_.end()) return;
   Proxy proxy = std::move(it->second);
@@ -340,15 +337,14 @@ void LbApp::finish(std::uint64_t pid, const std::string& payload,
   } else {
     ++responses_error_;
   }
-  container_->send(proxy.client, proxy.client_port, payload, params_.port,
-                   padding);
+  container_->send(proxy.client, proxy.client_port, std::move(body),
+                   params_.port, padding);
 }
 
 void LbApp::on_upstream(const net::Message& msg) {
   if (container_ == nullptr) return;
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  Json reply = std::move(parsed).value();
+  if (!msg.body.is_object()) return;
+  const Json& reply = msg.body;
   auto id = static_cast<std::uint64_t>(reply.get_number("id"));
 
   if (reply.has("health")) {
@@ -388,8 +384,9 @@ void LbApp::on_upstream(const net::Message& msg) {
     return;
   }
   backend_success(proxy.backend);
-  reply.set("id", proxy.client_id);
-  finish(id, reply.dump(), msg.padding_bytes, /*ok=*/true);
+  Json to_client = reply;
+  to_client.set("id", proxy.client_id);
+  finish(id, std::move(to_client), msg.padding_bytes, /*ok=*/true);
 }
 
 void LbApp::on_health_reply(net::Ipv4Addr backend) {
@@ -476,7 +473,7 @@ void LbApp::probe(net::Ipv4Addr ip) {
     backend_failure(backend);
   });
   probes_.emplace(hid, pending);
-  bool sent = container_->send(ip, params_.backend_port, body.dump(),
+  bool sent = container_->send(ip, params_.backend_port, std::move(body),
                                params_.upstream_port, 64);
   if (!sent) {
     auto it = probes_.find(hid);

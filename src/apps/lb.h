@@ -113,7 +113,7 @@ class LbApp : public os::ContainerApp {
     net::Ipv4Addr client;
     std::uint16_t client_port = 0;
     double client_id = 0;          // restored on the way back
-    std::string payload;           // rewritten request (proxy id installed)
+    util::Json body;               // rewritten request (proxy id installed)
     double padding = 0;
     net::Ipv4Addr backend;         // current attempt's target
     int attempts = 0;
@@ -131,8 +131,7 @@ class LbApp : public os::ContainerApp {
   bool choose_backend(net::Ipv4Addr exclude, bool use_exclude,
                       net::Ipv4Addr* out);
   void forward(std::uint64_t pid);
-  void finish(std::uint64_t pid, const std::string& payload, double padding,
-              bool ok);
+  void finish(std::uint64_t pid, util::Json body, double padding, bool ok);
   void attempt_failed(std::uint64_t pid);
   void backend_failure(net::Ipv4Addr ip);
   void backend_success(net::Ipv4Addr ip);

@@ -282,7 +282,7 @@ void HttpLoadGen::send_attempt(std::uint64_t id) {
   msg.dst = pending.target;
   msg.src_port = port_;
   msg.dst_port = params_.server_port;
-  msg.payload = body.dump();
+  msg.body = std::move(body);
   msg.padding_bytes = static_cast<double>(params_.request_bytes);
   network_.send(std::move(msg));
 }
@@ -315,9 +315,8 @@ void HttpLoadGen::attempt_failed(std::uint64_t id) {
 }
 
 void HttpLoadGen::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  const Json& reply = parsed.value();
+  if (!msg.body.is_object()) return;
+  const Json& reply = msg.body;
   auto id = static_cast<std::uint64_t>(reply.get_number("id"));
   auto it = pending_.find(id);
   if (it == pending_.end()) return;  // late reply after timeout
@@ -442,11 +441,11 @@ void KvClient::request(net::Ipv4Addr server, std::uint16_t server_port,
   msg.dst = server;
   msg.src_port = port_;
   msg.dst_port = server_port;
-  msg.payload = body.dump();
   // put carries the value's bytes on the wire.
   if (body.get_string("op") == "put") {
     msg.padding_bytes = body.get_number("bytes");
   }
+  msg.body = std::move(body);
   network_.send(std::move(msg));
 }
 
@@ -477,15 +476,14 @@ void KvClient::del(net::Ipv4Addr server, const std::string& key, Callback cb,
 }
 
 void KvClient::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  auto id = static_cast<std::uint64_t>(parsed.value().get_number("id"));
+  if (!msg.body.is_object()) return;
+  auto id = static_cast<std::uint64_t>(msg.body.get_number("id"));
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
   sim_.cancel(it->second.timeout_event);
   Callback cb = std::move(it->second.cb);
   pending_.erase(it);
-  cb(std::move(parsed).value());
+  cb(msg.body);
 }
 
 }  // namespace picloud::apps

@@ -31,9 +31,8 @@ util::Json MapReduceWorkerApp::status() const {
 
 void MapReduceWorkerApp::on_message(const net::Message& msg) {
   if (container_ == nullptr) return;
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  const Json& request = parsed.value();
+  if (!msg.body.is_object()) return;
+  const Json& request = msg.body;
   std::string op = request.get_string("op");
   if (op == "map") {
     handle_map(request, msg.src, msg.src_port);
@@ -76,11 +75,11 @@ void MapReduceWorkerApp::handle_map(const Json& request, net::Ipv4Addr from,
         part.set("op", "partition");
         part.set("job", job);
         part.set("bytes", partition);
-        container_->send(reducer, kMapReducePort, part.dump(), kMapReducePort,
-                         partition);
+        container_->send(reducer, kMapReducePort, std::move(part),
+                         kMapReducePort, partition);
       }
     }
-    container_->send(from, from_port, done.dump(), kMapReducePort);
+    container_->send(from, from_port, done, kMapReducePort);
   });
 }
 
@@ -125,7 +124,7 @@ void MapReduceWorkerApp::maybe_run_reduce(const std::string& job) {
                         if (!completed || container_ == nullptr) return;
                         ++reduces_done_;
                         reduce_jobs_.erase(job);
-                        container_->send(driver, driver_port, done.dump(),
+                        container_->send(driver, driver_port, done,
                                          kMapReducePort);
                       });
 }
@@ -151,7 +150,7 @@ void MapReduceDriver::send(net::Ipv4Addr to, Json body) {
   msg.dst = to;
   msg.src_port = port_;
   msg.dst_port = kMapReducePort;
-  msg.payload = body.dump();
+  msg.body = std::move(body);
   network_.send(std::move(msg));
 }
 
@@ -214,9 +213,8 @@ void MapReduceDriver::order_reduces(JobState& job) {
 }
 
 void MapReduceDriver::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  const Json& body = parsed.value();
+  if (!msg.body.is_object()) return;
+  const Json& body = msg.body;
   std::string job_id = body.get_string("job");
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return;

@@ -104,23 +104,22 @@ void GossipAgent::round() {
   rng_.shuffle(candidates);
   size_t targets = std::min<size_t>(
       candidates.size(), static_cast<size_t>(std::max(config_.fanout, 1)));
-  std::string payload = digest().dump();
+  const Json body = digest();
   for (size_t i = 0; i < targets; ++i) {
     net::Message msg;
     msg.src = self_ip_;
     msg.dst = candidates[i]->ip;
     msg.src_port = kGossipPort;
     msg.dst_port = kGossipPort;
-    msg.payload = payload;
+    msg.body = body;
     network_.send(std::move(msg));
     ++messages_sent_;
   }
 }
 
 void GossipAgent::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok() || parsed.value().get_string("type") != "gossip") return;
-  for (const Json& j : parsed.value().get("entries").as_array()) {
+  if (msg.body.get_string("type") != "gossip") return;
+  for (const Json& j : msg.body.get("entries").as_array()) {
     std::string hostname = j.get_string("h");
     if (hostname.empty() || hostname == self_hostname_) continue;
     auto version = static_cast<std::uint64_t>(j.get_number("v"));

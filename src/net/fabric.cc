@@ -163,8 +163,7 @@ FlowId Fabric::start_flow(FlowSpec spec) {
 
   if (spec.src == spec.dst) {
     // Loopback: no fabric involvement.
-    FlowCallback cb = spec.on_complete;
-    sim_.after(kLoopbackDelay, [cb, id]() {
+    sim_.after(kLoopbackDelay, [cb = std::move(spec.on_complete), id]() {
       if (cb) cb(id, true);
     });
     flows_completed_->inc();
@@ -173,10 +172,10 @@ FlowId Fabric::start_flow(FlowSpec spec) {
 
   std::vector<LinkId> path = route_flow(spec.src, spec.dst, id);
   if (path.empty()) {
-    FlowCallback cb = spec.on_complete;
-    sim_.after(sim::Duration::zero(), [cb, id]() {
-      if (cb) cb(id, false);
-    });
+    sim_.after(sim::Duration::zero(),
+               [cb = std::move(spec.on_complete), id]() {
+                 if (cb) cb(id, false);
+               });
     flows_failed_->inc();
     if (routing_ != nullptr) routing_->on_flow_end(id);
     return id;
@@ -188,8 +187,7 @@ FlowId Fabric::start_flow(FlowSpec spec) {
   for (LinkId lid : path) {
     double p = links_[lid].loss_p;
     if (p > 0 && loss_rng_.chance(p)) {
-      FlowCallback cb = spec.on_complete;
-      sim_.after(links_[lid].delay, [cb, id]() {
+      sim_.after(links_[lid].delay, [cb = std::move(spec.on_complete), id]() {
         if (cb) cb(id, false);
       });
       flows_failed_->inc();

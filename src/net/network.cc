@@ -61,12 +61,13 @@ bool Network::send(Message msg) {
       ++dropped_;
       return true;
     }
+    const double bytes = size_for_wire(msg);
     for (Ipv4Addr target : targets) {
       auto dst_node = resolve(target);
       if (!dst_node) continue;
       Message copy = msg;
       copy.dst = target;
-      transmit(*src_node, *dst_node, std::move(copy), /*l2=*/false);
+      transmit(*src_node, *dst_node, std::move(copy), bytes, /*l2=*/false);
     }
     return true;
   }
@@ -77,16 +78,24 @@ bool Network::send(Message msg) {
     LOG_DEBUG("net", "no route to host %s", msg.dst.to_string().c_str());
     return true;
   }
-  transmit(*src_node, *dst_node, std::move(msg), /*l2=*/false);
+  const double bytes = size_for_wire(msg);
+  transmit(*src_node, *dst_node, std::move(msg), bytes, /*l2=*/false);
   return true;
 }
 
+double Network::size_for_wire(Message& msg) {
+  // The same sum as Message::wire_bytes(), with the body counted by the
+  // walk that canonicalizes it.
+  return Message::kHeaderBytes + static_cast<double>(msg.body.canonicalize()) +
+         msg.padding_bytes;
+}
+
 void Network::transmit(NetNodeId src_node, NetNodeId dst_node, Message msg,
-                       bool l2) {
+                       double wire_bytes, bool l2) {
   FlowSpec spec;
   spec.src = src_node;
   spec.dst = dst_node;
-  spec.bytes = msg.wire_bytes();
+  spec.bytes = wire_bytes;
   // An L2 frame is handed to dst_node's node listener; an IP datagram to
   // the listener bound on (msg.dst, msg.dst_port).
   const std::optional<NetNodeId> l2_node =
@@ -152,7 +161,8 @@ void Network::send_to_node(NetNodeId src_node, std::optional<NetNodeId> dst_node
                            Message msg) {
   ++sent_;
   if (dst_node) {
-    transmit(src_node, *dst_node, std::move(msg), /*l2=*/true);
+    const double bytes = size_for_wire(msg);
+    transmit(src_node, *dst_node, std::move(msg), bytes, /*l2=*/true);
     return;
   }
   // L2 broadcast to every node listener on the port.
@@ -166,8 +176,9 @@ void Network::send_to_node(NetNodeId src_node, std::optional<NetNodeId> dst_node
     ++dropped_;
     return;
   }
+  const double bytes = size_for_wire(msg);
   for (NetNodeId target : targets) {
-    transmit(src_node, target, msg, /*l2=*/true);
+    transmit(src_node, target, msg, bytes, /*l2=*/true);
   }
 }
 

@@ -4,6 +4,9 @@
 // listeners, and carries every message as a real flow so that control-plane
 // traffic (REST, DHCP, DNS, heartbeats) contends with data-plane traffic on
 // the same links — the cross-layer coupling the paper's argument rests on.
+// A message's JSON body travels as a util::Json value, never as text: the
+// flow is sized from the text the body would dump to, and the receiver gets
+// the value that parsing that text would give (DESIGN.md §15).
 //
 // Containers are bridged (paper §II-B): a container's IP binds to its host
 // device's fabric node, so all containers on one Pi share its 100 Mb NIC.
@@ -18,6 +21,7 @@
 #include "net/addr.h"
 #include "net/fabric.h"
 #include "sim/simulation.h"
+#include "util/json.h"
 
 namespace picloud::net {
 
@@ -26,16 +30,21 @@ struct Message {
   Ipv4Addr dst;
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
-  std::string payload;
+  // The JSON body, carried as a value (DESIGN.md §15): no text is built or
+  // parsed in flight, yet the fabric is charged the bytes body.dump() would
+  // put on the wire, and send() canonicalizes the body so the receiver sees
+  // what parsing that text would have given it.
+  util::Json body;
   // Bulk body size carried on the wire but not materialised as bytes in the
-  // payload string (MapReduce shuffle partitions, file chunks). The fabric
-  // charges it; receivers read it as metadata.
+  // body (MapReduce shuffle partitions, file chunks). The fabric charges it;
+  // receivers read it as metadata.
   double padding_bytes = 0;
 
   // L2-L4 framing overhead charged to the fabric per message.
   static constexpr double kHeaderBytes = 64;
   double wire_bytes() const {
-    return kHeaderBytes + static_cast<double>(payload.size()) + padding_bytes;
+    return kHeaderBytes + static_cast<double>(body.dump_size()) +
+           padding_bytes;
   }
 };
 
@@ -60,9 +69,10 @@ class Network {
   void listen(Ipv4Addr ip, std::uint16_t port, Handler handler);
   void unlisten(Ipv4Addr ip, std::uint16_t port);
 
-  // Sends a message. Returns false when the source IP is unbound (caller
-  // bug). Unknown destinations and unreachable paths drop the message (a
-  // datagram network); reliability lives in proto::rest retries.
+  // Sends a message, canonicalizing its body (util::Json::canonicalize())
+  // in the walk that sizes it. Returns false when the source IP is unbound
+  // (caller bug). Unknown destinations and unreachable paths drop the
+  // message (a datagram network); reliability lives in proto::rest retries.
   // dst == broadcast delivers a copy to every listener on dst_port (except
   // the sender) — used by DHCP DISCOVER.
   bool send(Message msg);
@@ -85,10 +95,14 @@ class Network {
   std::uint64_t messages_dropped() const { return dropped_; }
 
  private:
-  // Carries `msg` as a fabric flow from src_node to dst_node, then hands it
-  // to dst_node's node listener on dst_port (`l2`) or to the listener bound
-  // on (msg.dst, msg.dst_port).
-  void transmit(NetNodeId src_node, NetNodeId dst_node, Message msg, bool l2);
+  // Carries `msg` as a fabric flow of `wire_bytes` (msg.wire_bytes(), sized
+  // once per send) from src_node to dst_node, then hands it to dst_node's
+  // node listener on dst_port (`l2`) or to the listener bound on (msg.dst,
+  // msg.dst_port).
+  void transmit(NetNodeId src_node, NetNodeId dst_node, Message msg,
+                double wire_bytes, bool l2);
+  // Canonicalizes msg.body and returns msg.wire_bytes(), in one walk.
+  static double size_for_wire(Message& msg);
   void deliver(const Message& msg, std::optional<NetNodeId> l2_node);
 
   sim::Simulation& sim_;

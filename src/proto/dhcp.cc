@@ -75,19 +75,18 @@ std::optional<net::Ipv4Addr> DhcpServer::pick_address(const std::string& mac) {
   return std::nullopt;
 }
 
-void DhcpServer::send_to_client(net::NetNodeId client_node, Json payload) {
+void DhcpServer::send_to_client(net::NetNodeId client_node, Json body) {
   net::Message msg;
   msg.src = ip_;
   msg.src_port = kDhcpServerPort;
   msg.dst_port = kDhcpClientPort;
-  msg.payload = payload.dump();
+  msg.body = std::move(body);
   network_.send_to_node(node_, client_node, std::move(msg));
 }
 
 void DhcpServer::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  const Json& j = parsed.value();
+  if (!msg.body.is_object()) return;
+  const Json& j = msg.body;
   std::string type = j.get_string("type");
   std::string mac = j.get_string("mac");
   std::string hostname = j.get_string("hostname");
@@ -230,7 +229,7 @@ void DhcpClient::send_discover() {
   msg.src = net::Ipv4Addr::any();
   msg.src_port = kDhcpClientPort;
   msg.dst_port = kDhcpServerPort;
-  msg.payload = discover.dump();
+  msg.body = std::move(discover);
   network_.send_to_node(node_, std::nullopt, std::move(msg));
   arm_retry();
 }
@@ -257,9 +256,8 @@ void DhcpClient::arm_retry() {
 }
 
 void DhcpClient::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  const Json& j = parsed.value();
+  if (!msg.body.is_object()) return;
+  const Json& j = msg.body;
   std::string type = j.get_string("type");
 
   if (type == "offer" && state_ == State::kSelecting) {
@@ -279,7 +277,7 @@ void DhcpClient::on_message(const net::Message& msg) {
     req.src = net::Ipv4Addr::any();
     req.src_port = kDhcpClientPort;
     req.dst_port = kDhcpServerPort;
-    req.payload = request.dump();
+    req.body = std::move(request);
     network_.send_to_node(node_, server_node_, std::move(req));
     arm_retry();
     return;
@@ -313,7 +311,7 @@ void DhcpClient::on_message(const net::Message& msg) {
       req.src = net::Ipv4Addr::any();
       req.src_port = kDhcpClientPort;
       req.dst_port = kDhcpServerPort;
-      req.payload = request.dump();
+      req.body = std::move(request);
       network_.send_to_node(node_, server_node_, std::move(req));
       arm_retry();
     });

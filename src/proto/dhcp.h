@@ -72,7 +72,7 @@ class DhcpServer {
  private:
   void on_message(const net::Message& msg);
   std::optional<net::Ipv4Addr> pick_address(const std::string& mac);
-  void send_to_client(net::NetNodeId client_node, util::Json payload);
+  void send_to_client(net::NetNodeId client_node, util::Json body);
   bool ip_in_use(net::Ipv4Addr ip, const std::string& for_mac) const;
 
   net::Network& network_;

@@ -22,52 +22,71 @@ std::optional<Method> parse_method(const std::string& name) {
   return std::nullopt;
 }
 
-std::string HttpRequest::serialize() const {
-  util::Json j = util::Json::object();
-  j.set("m", method_name(method));
-  j.set("p", path);
-  if (!body.is_null()) j.set("b", body);
-  j.set("i", static_cast<unsigned long long>(id));
-  return j.dump();
+util::Json HttpRequest::to_json() const& {
+  return HttpRequest(*this).to_json();
 }
 
-util::Result<HttpRequest> HttpRequest::parse(const std::string& wire) {
-  auto parsed = util::Json::parse(wire);
-  if (!parsed.ok()) return parsed.error();
-  const util::Json& j = parsed.value();
-  auto method = parse_method(j.get_string("m"));
+util::Json HttpRequest::to_json() && {
+  util::Json j = util::Json::object();
+  j.set("m", method_name(method));
+  j.set("p", std::move(path));
+  if (!body.is_null()) j.set("b", std::move(body));
+  j.set("i", static_cast<unsigned long long>(id));
+  return j;
+}
+
+util::Result<HttpRequest> HttpRequest::from_json(const util::Json& envelope) {
+  auto method = parse_method(envelope.get_string("m"));
   if (!method) return util::Error::make("bad_request", "unknown method");
   HttpRequest req;
   req.method = *method;
-  req.path = j.get_string("p");
-  req.body = j.get("b");
-  req.id = static_cast<std::uint64_t>(j.get_number("i"));
+  req.path = envelope.get_string("p");
+  req.body = envelope.get("b");
+  req.id = static_cast<std::uint64_t>(envelope.get_number("i"));
   if (req.path.empty() || req.path[0] != '/') {
     return util::Error::make("bad_request", "path must start with /");
   }
   return req;
 }
 
-std::string HttpResponse::serialize() const {
+std::string HttpRequest::serialize() const { return to_json().dump(); }
+
+util::Result<HttpRequest> HttpRequest::parse(const std::string& wire) {
+  auto parsed = util::Json::parse(wire);
+  if (!parsed.ok()) return parsed.error();
+  return from_json(parsed.value());
+}
+
+util::Json HttpResponse::to_json() const& {
+  return HttpResponse(*this).to_json();
+}
+
+util::Json HttpResponse::to_json() && {
   util::Json j = util::Json::object();
   j.set("s", status);
-  if (!body.is_null()) j.set("b", body);
+  if (!body.is_null()) j.set("b", std::move(body));
   j.set("i", static_cast<unsigned long long>(id));
-  return j.dump();
+  return j;
 }
+
+util::Result<HttpResponse> HttpResponse::from_json(
+    const util::Json& envelope) {
+  HttpResponse resp;
+  resp.status = static_cast<int>(envelope.get_number("s", 0));
+  if (resp.status < 100 || resp.status > 599) {
+    return util::Error::make("bad_response", "invalid status code");
+  }
+  resp.body = envelope.get("b");
+  resp.id = static_cast<std::uint64_t>(envelope.get_number("i"));
+  return resp;
+}
+
+std::string HttpResponse::serialize() const { return to_json().dump(); }
 
 util::Result<HttpResponse> HttpResponse::parse(const std::string& wire) {
   auto parsed = util::Json::parse(wire);
   if (!parsed.ok()) return parsed.error();
-  const util::Json& j = parsed.value();
-  HttpResponse resp;
-  resp.status = static_cast<int>(j.get_number("s", 0));
-  if (resp.status < 100 || resp.status > 599) {
-    return util::Error::make("bad_response", "invalid status code");
-  }
-  resp.body = j.get("b");
-  resp.id = static_cast<std::uint64_t>(j.get_number("i"));
-  return resp;
+  return from_json(parsed.value());
 }
 
 HttpResponse HttpResponse::make(int status, util::Json body) {

@@ -2,8 +2,10 @@
 //
 // The paper's management plane is RESTful (§II-C: "controls workloads
 // running on the Pi devices using RESTful interfaces"), so the model carries
-// real method/path/status semantics. Requests serialize to a compact JSON
-// envelope on the wire (the fabric charges the serialized size).
+// real method/path/status semantics. A request or response travels through
+// net::Network as a JSON envelope value (to_json()/from_json()); no text is
+// built in flight, but the fabric charges the size of the envelope's text
+// (DESIGN.md §15). serialize()/parse() are the same envelope as text.
 //
 // Router supports literal segments and ":param" captures:
 //   router.handle(Method::kPost, "/containers/:name/freeze", handler);
@@ -34,6 +36,13 @@ struct HttpRequest {
   util::Json body;         // JSON payload (null for body-less requests)
   std::uint64_t id = 0;    // correlation id, set by the client
 
+  // The envelope {"m": method, "p": path, "b": body (omitted when null),
+  // "i": id}; the rvalue form moves the body in. from_json() rejects an
+  // unknown method or a path without a leading '/'.
+  util::Json to_json() const&;
+  util::Json to_json() &&;
+  static util::Result<HttpRequest> from_json(const util::Json& envelope);
+  // The envelope as text: to_json().dump() / from_json(Json::parse(wire)).
   std::string serialize() const;
   static util::Result<HttpRequest> parse(const std::string& wire);
 };
@@ -44,6 +53,13 @@ struct HttpResponse {
   std::uint64_t id = 0;  // echoes the request id
 
   bool ok() const { return status >= 200 && status < 300; }
+  // The envelope {"s": status, "b": body (omitted when null), "i": id}; the
+  // rvalue form moves the body in. from_json() rejects a status outside
+  // 100..599.
+  util::Json to_json() const&;
+  util::Json to_json() &&;
+  static util::Result<HttpResponse> from_json(const util::Json& envelope);
+  // The envelope as text: to_json().dump() / from_json(Json::parse(wire)).
   std::string serialize() const;
   static util::Result<HttpResponse> parse(const std::string& wire);
 

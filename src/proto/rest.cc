@@ -106,10 +106,10 @@ void RestServer::on_message(const net::Message& msg) {
     reply.dst = reply_to;
     reply.src_port = self_port;
     reply.dst_port = reply_port;
-    reply.payload = response.serialize();
+    reply.body = std::move(response).to_json();
     network.send(std::move(reply));
   };
-  auto request = HttpRequest::parse(msg.payload);
+  auto request = HttpRequest::from_json(msg.body);
   if (!request.ok()) {
     send_reply(HttpResponse::bad_request(request.error().message));
     return;
@@ -206,7 +206,7 @@ void RestClient::call(net::Ipv4Addr server, std::uint16_t port, Method method,
   msg.dst = server;
   msg.src_port = port_;
   msg.dst_port = port;
-  msg.payload = request.serialize();
+  msg.body = std::move(request).to_json();
   network_.send(std::move(msg));
   // Drops are handled by the timeout: a datagram network, reliability here.
 }
@@ -311,12 +311,13 @@ void RestClient::retry_done(std::uint64_t retry_id,
 }
 
 void RestClient::on_message(const net::Message& msg) {
-  auto response = HttpResponse::parse(msg.payload);
+  auto response = HttpResponse::from_json(msg.body);
   if (!response.ok()) {
-    LOG_WARN("rest", "unparseable response at %s", self_.to_string().c_str());
+    LOG_WARN("rest", "malformed response at %s", self_.to_string().c_str());
     return;
   }
-  finish(response.value().id, response.value());
+  const std::uint64_t id = response.value().id;
+  finish(id, std::move(response));
 }
 
 void RestClient::finish(std::uint64_t id, util::Result<HttpResponse> result) {

@@ -1,7 +1,10 @@
 #include "util/json.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "util/check.h"
 #include "util/strings.h"
@@ -16,15 +19,36 @@ const Json kNullJson;
 }  // namespace
 
 Json::Json(JsonArray a)
-    : type_(Type::kArray), arr_(std::make_unique<JsonArray>(std::move(a))) {}
+    : v_(std::in_place_index<kArrayIdx>,
+         std::make_unique<JsonArray>(std::move(a))) {}
 
 Json::Json(JsonObject o)
-    : type_(Type::kObject), obj_(std::make_unique<JsonObject>(std::move(o))) {}
+    : v_(std::in_place_index<kObjectIdx>,
+         std::make_unique<JsonObject>(std::move(o))) {}
 
-Json::Json(const Json& other)
-    : type_(other.type_), bool_(other.bool_), num_(other.num_), str_(other.str_) {
-  if (other.arr_) arr_ = std::make_unique<JsonArray>(*other.arr_);
-  if (other.obj_) obj_ = std::make_unique<JsonObject>(*other.obj_);
+Json::Json(const Json& other) {
+  switch (other.type()) {
+    case Type::kArray: {
+      const auto& a = *std::get_if<kArrayIdx>(&other.v_);
+      v_.emplace<kArrayIdx>(a ? std::make_unique<JsonArray>(*a) : nullptr);
+      break;
+    }
+    case Type::kObject: {
+      const auto& o = *std::get_if<kObjectIdx>(&other.v_);
+      v_.emplace<kObjectIdx>(o ? std::make_unique<JsonObject>(*o) : nullptr);
+      break;
+    }
+    case Type::kNull: break;
+    case Type::kBool:
+      v_.emplace<kBoolIdx>(*std::get_if<kBoolIdx>(&other.v_));
+      break;
+    case Type::kNumber:
+      v_.emplace<kNumberIdx>(*std::get_if<kNumberIdx>(&other.v_));
+      break;
+    case Type::kString:
+      v_.emplace<kStringIdx>(*std::get_if<kStringIdx>(&other.v_));
+      break;
+  }
 }
 
 Json::Json(Json&&) noexcept = default;
@@ -40,45 +64,47 @@ Json::~Json() = default;
 
 const std::string& Json::as_string() const {
   PICLOUD_CHECK(is_string() || is_null()) << "as_string on non-string Json";
-  return is_string() ? str_ : kEmptyString;
+  return is_string() ? *std::get_if<kStringIdx>(&v_) : kEmptyString;
 }
 
 const JsonArray& Json::as_array() const {
-  return is_array() && arr_ ? *arr_ : kEmptyArray;
+  const auto* a = std::get_if<kArrayIdx>(&v_);
+  return a != nullptr && *a ? **a : kEmptyArray;
 }
 
 const JsonObject& Json::as_object() const {
-  return is_object() && obj_ ? *obj_ : kEmptyObject;
+  const auto* o = std::get_if<kObjectIdx>(&v_);
+  return o != nullptr && *o ? **o : kEmptyObject;
 }
 
 JsonArray& Json::mutable_array() {
   if (!is_array()) {
     PICLOUD_CHECK(is_null()) << "mutable_array on non-array Json";
-    type_ = Type::kArray;
-    arr_ = std::make_unique<JsonArray>();
+    v_.emplace<kArrayIdx>();
   }
-  return *arr_;
+  auto& a = *std::get_if<kArrayIdx>(&v_);
+  if (!a) a = std::make_unique<JsonArray>();  // also a moved-from array
+  return *a;
 }
 
 JsonObject& Json::mutable_object() {
   if (!is_object()) {
     PICLOUD_CHECK(is_null()) << "mutable_object on non-object Json";
-    type_ = Type::kObject;
-    obj_ = std::make_unique<JsonObject>();
+    v_.emplace<kObjectIdx>();
   }
-  return *obj_;
+  auto& o = *std::get_if<kObjectIdx>(&v_);
+  if (!o) o = std::make_unique<JsonObject>();  // also a moved-from object
+  return *o;
 }
 
 bool Json::has(const std::string& key) const {
-  return is_object() && obj_ && obj_->count(key) > 0;
+  return as_object().count(key) > 0;
 }
 
 const Json& Json::get(const std::string& key) const {
-  if (is_object() && obj_) {
-    auto it = obj_->find(key);
-    if (it != obj_->end()) return it->second;
-  }
-  return kNullJson;
+  const JsonObject& o = as_object();
+  auto it = o.find(key);
+  return it != o.end() ? it->second : kNullJson;
 }
 
 double Json::get_number(const std::string& key, double fallback) const {
@@ -107,23 +133,23 @@ Json& Json::push_back(Json value) {
 }
 
 size_t Json::size() const {
-  if (is_array() && arr_) return arr_->size();
-  if (is_object() && obj_) return obj_->size();
+  if (is_array()) return as_array().size();
+  if (is_object()) return as_object().size();
   return 0;
 }
 
 const Json& Json::operator[](size_t i) const {
-  if (is_array() && arr_ && i < arr_->size()) return (*arr_)[i];
-  return kNullJson;
+  const JsonArray& a = as_array();
+  return i < a.size() ? a[i] : kNullJson;
 }
 
 bool Json::operator==(const Json& other) const {
-  if (type_ != other.type_) return false;
-  switch (type_) {
+  if (type() != other.type()) return false;
+  switch (type()) {
     case Type::kNull: return true;
-    case Type::kBool: return bool_ == other.bool_;
-    case Type::kNumber: return num_ == other.num_;
-    case Type::kString: return str_ == other.str_;
+    case Type::kBool: return as_bool() == other.as_bool();
+    case Type::kNumber: return as_number() == other.as_number();
+    case Type::kString: return as_string() == other.as_string();
     case Type::kArray: return as_array() == other.as_array();
     case Type::kObject: return as_object() == other.as_object();
   }
@@ -132,104 +158,175 @@ bool Json::operator==(const Json& other) const {
 
 namespace {
 
-void escape_string(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
+// Where a walk's bytes go: StringSink appends them, CountSink only counts
+// them. dump() and dump_size() share one walk, so the count cannot drift
+// from the text.
+struct StringSink {
+  std::string* out;
+  void put(char c) { out->push_back(c); }
+  void put(std::string_view s) { out->append(s); }
+  void at_depth(int /*depth*/) {}
+};
+
+struct CountSink {
+  std::size_t bytes = 0;
+  int deepest = 0;  // most containers enclosing any one value
+  void put(char /*c*/) { ++bytes; }
+  void put(std::string_view s) { bytes += s.size(); }
+  void at_depth(int depth) { deepest = std::max(deepest, depth); }
+};
+
+template <class Sink>
+void escape_string(std::string_view s, Sink& out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out.put('"');
+  std::size_t run = 0;  // start of the pending run of unescaped bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.put(s.substr(run, i - run));
+    run = i + 1;
     switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      case '\b': *out += "\\b"; break;
-      case '\f': *out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += format("\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
+      case '"': out.put("\\\""); break;
+      case '\\': out.put("\\\\"); break;
+      case '\n': out.put("\\n"); break;
+      case '\r': out.put("\\r"); break;
+      case '\t': out.put("\\t"); break;
+      case '\b': out.put("\\b"); break;
+      case '\f': out.put("\\f"); break;
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.put(std::string_view(u, sizeof u));
+      }
     }
   }
-  out->push_back('"');
+  out.put(s.substr(run));
+  out.put('"');
 }
 
-void dump_number(double d, std::string* out) {
-  if (std::isnan(d) || std::isinf(d)) {  // not representable in JSON
-    *out += "null";
-    return;
+// Room for the longest "%.17g" text, "-2.2250738585072014e-308".
+constexpr std::size_t kNumberChars = 32;
+
+// The text of a number, written into `buf` without allocating: "%lld" for
+// integers below 2^53 (std::to_chars), "%.17g" otherwise (both round-trip
+// exactly). The "%.17g" branch stays on snprintf: std::to_chars with a
+// precision reads libstdc++'s Ryu tables, which raised the perfbench
+// flash_crowd peak RSS by ≈0.17 MB (5.79 -> 5.96 MB).
+std::string_view format_number(double d, char (&buf)[kNumberChars]) {
+  if (!std::isfinite(d)) return "null";  // not representable in JSON
+  if (std::nearbyint(d) == d && std::fabs(d) < 9.007199254740992e15) {
+    const auto r =
+        std::to_chars(buf, buf + kNumberChars, static_cast<long long>(d));
+    return {buf, static_cast<std::size_t>(r.ptr - buf)};
   }
-  double rounded = std::nearbyint(d);
-  if (rounded == d && std::fabs(d) < 9.007199254740992e15) {
-    *out += format("%lld", static_cast<long long>(d));
-  } else {
-    *out += format("%.17g", d);
+  const int n = std::snprintf(buf, kNumberChars, "%.17g", d);
+  return {buf, static_cast<std::size_t>(n)};
+}
+
+// A const walk only reads; a mutable one (canonicalize()) also rewrites each
+// number into what parsing its text gives back.
+const JsonArray& items(const Json& v) { return v.as_array(); }
+JsonArray& items(Json& v) { return v.mutable_array(); }
+const JsonObject& members(const Json& v) { return v.as_object(); }
+JsonObject& members(Json& v) { return v.mutable_object(); }
+void canonicalize_number(const Json& /*v*/) {}
+void canonicalize_number(Json& v) {
+  const double d = v.as_number();
+  if (!std::isfinite(d)) {
+    v = Json();
+  } else if (d == 0 && std::signbit(d)) {
+    v = Json(0.0);
   }
 }
 
-void newline_indent(std::string* out, int indent, int depth) {
+template <class Sink>
+void newline_indent(Sink& out, int indent, int depth) {
   if (indent <= 0) return;
-  out->push_back('\n');
-  out->append(static_cast<size_t>(indent * depth), ' ');
+  out.put('\n');
+  for (int i = 0; i < indent * depth; ++i) out.put(' ');
+}
+
+// The one walk behind dump(), pretty(), dump_size() and canonicalize().
+// `depth` counts the containers enclosing `v`, as the parser does.
+template <class J, class Sink>
+void walk(J& v, Sink& out, int indent, int depth) {
+  out.at_depth(depth);
+  switch (v.type()) {
+    case Json::Type::kNull: out.put("null"); break;
+    case Json::Type::kBool: out.put(v.as_bool() ? "true" : "false"); break;
+    case Json::Type::kNumber: {
+      char buf[kNumberChars];
+      out.put(format_number(v.as_number(), buf));
+      canonicalize_number(v);
+      break;
+    }
+    case Json::Type::kString: escape_string(v.as_string(), out); break;
+    case Json::Type::kArray: {
+      auto& a = items(v);
+      if (a.empty()) {
+        out.put("[]");
+        break;
+      }
+      out.put('[');
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        if (i > 0) out.put(',');
+        newline_indent(out, indent, depth + 1);
+        walk(a[i], out, indent, depth + 1);
+      }
+      newline_indent(out, indent, depth);
+      out.put(']');
+      break;
+    }
+    case Json::Type::kObject: {
+      auto& o = members(v);
+      if (o.empty()) {
+        out.put("{}");
+        break;
+      }
+      out.put('{');
+      bool first = true;
+      for (auto& [k, child] : o) {
+        if (!first) out.put(',');
+        first = false;
+        newline_indent(out, indent, depth + 1);
+        escape_string(k, out);
+        out.put(indent > 0 ? ": " : ":");
+        walk(child, out, indent, depth + 1);
+      }
+      newline_indent(out, indent, depth);
+      out.put('}');
+      break;
+    }
+  }
 }
 
 }  // namespace
 
-void Json::dump_to(std::string* out, int indent, int depth) const {
-  switch (type_) {
-    case Type::kNull: *out += "null"; break;
-    case Type::kBool: *out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: dump_number(num_, out); break;
-    case Type::kString: escape_string(str_, out); break;
-    case Type::kArray: {
-      const JsonArray& a = as_array();
-      if (a.empty()) {
-        *out += "[]";
-        break;
-      }
-      out->push_back('[');
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (i > 0) out->push_back(',');
-        newline_indent(out, indent, depth + 1);
-        a[i].dump_to(out, indent, depth + 1);
-      }
-      newline_indent(out, indent, depth);
-      out->push_back(']');
-      break;
-    }
-    case Type::kObject: {
-      const JsonObject& o = as_object();
-      if (o.empty()) {
-        *out += "{}";
-        break;
-      }
-      out->push_back('{');
-      bool first = true;
-      for (const auto& [k, v] : o) {
-        if (!first) out->push_back(',');
-        first = false;
-        newline_indent(out, indent, depth + 1);
-        escape_string(k, out);
-        *out += indent > 0 ? ": " : ":";
-        v.dump_to(out, indent, depth + 1);
-      }
-      newline_indent(out, indent, depth);
-      out->push_back('}');
-      break;
-    }
-  }
-}
-
 std::string Json::dump() const {
   std::string out;
-  dump_to(&out, /*indent=*/0, /*depth=*/0);
+  StringSink sink{&out};
+  walk(*this, sink, /*indent=*/0, /*depth=*/0);
   return out;
 }
 
 std::string Json::pretty() const {
   std::string out;
-  dump_to(&out, /*indent=*/2, /*depth=*/0);
+  StringSink sink{&out};
+  walk(*this, sink, /*indent=*/2, /*depth=*/0);
   return out;
+}
+
+std::size_t Json::dump_size() const {
+  CountSink sink;
+  walk(*this, sink, /*indent=*/0, /*depth=*/0);
+  return sink.bytes;
+}
+
+std::size_t Json::canonicalize() {
+  CountSink sink;
+  walk(*this, sink, /*indent=*/0, /*depth=*/0);
+  if (sink.deepest > kMaxDepth) *this = Json();  // parse() would reject it
+  return sink.bytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -281,7 +378,7 @@ class Parser {
   }
 
   Result<Json> parse_value() {
-    if (depth_ > kMaxDepth) return error("nesting too deep");
+    if (depth_ > Json::kMaxDepth) return error("nesting too deep");
     if (pos_ >= text_.size()) return error("unexpected end of input");
     char c = text_[pos_];
     if (c == '{') return parse_object();
@@ -422,7 +519,6 @@ class Parser {
     return Json(d);
   }
 
-  static constexpr int kMaxDepth = 128;
   std::string_view text_;
   size_t pos_ = 0;
   int depth_ = 0;

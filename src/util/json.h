@@ -8,12 +8,15 @@
 // sizes up to 2^53).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "util/result.h"
@@ -29,23 +32,27 @@ using JsonObject = std::map<std::string, Json>;
 // A JSON value: null, bool, number, string, array or object.
 class Json {
  public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+  // In the order of the alternatives of Storage below.
+  enum class Type : std::uint8_t {
+    kNull, kBool, kNumber, kString, kArray, kObject
+  };
 
-  Json() : type_(Type::kNull) {}
-  Json(std::nullptr_t) : type_(Type::kNull) {}                 // NOLINT
-  Json(bool b) : type_(Type::kBool), bool_(b) {}               // NOLINT
-  Json(double d) : type_(Type::kNumber), num_(d) {}            // NOLINT
-  Json(int i) : type_(Type::kNumber), num_(i) {}               // NOLINT
-  Json(unsigned u) : type_(Type::kNumber), num_(u) {}          // NOLINT
-  Json(long long i) : type_(Type::kNumber), num_(static_cast<double>(i)) {}  // NOLINT
-  Json(unsigned long long u) : type_(Type::kNumber), num_(static_cast<double>(u)) {}  // NOLINT
-  Json(long i) : type_(Type::kNumber), num_(static_cast<double>(i)) {}       // NOLINT
-  Json(unsigned long u) : type_(Type::kNumber), num_(static_cast<double>(u)) {}  // NOLINT
-  Json(const char* s) : type_(Type::kString), str_(s) {}       // NOLINT
-  Json(std::string s) : type_(Type::kString), str_(std::move(s)) {}  // NOLINT
-  Json(std::string_view s) : type_(Type::kString), str_(s) {}  // NOLINT
-  Json(JsonArray a);                                           // NOLINT
-  Json(JsonObject o);                                          // NOLINT
+  Json() = default;
+  Json(std::nullptr_t) {}                                          // NOLINT
+  Json(bool b) : v_(std::in_place_index<kBoolIdx>, b) {}           // NOLINT
+  Json(double d) : v_(std::in_place_index<kNumberIdx>, d) {}       // NOLINT
+  Json(int i) : Json(static_cast<double>(i)) {}                    // NOLINT
+  Json(unsigned u) : Json(static_cast<double>(u)) {}               // NOLINT
+  Json(long long i) : Json(static_cast<double>(i)) {}              // NOLINT
+  Json(unsigned long long u) : Json(static_cast<double>(u)) {}     // NOLINT
+  Json(long i) : Json(static_cast<double>(i)) {}                   // NOLINT
+  Json(unsigned long u) : Json(static_cast<double>(u)) {}          // NOLINT
+  Json(const char* s) : v_(std::in_place_index<kStringIdx>, s) {}  // NOLINT
+  Json(std::string s)                                              // NOLINT
+      : v_(std::in_place_index<kStringIdx>, std::move(s)) {}
+  Json(std::string_view s) : v_(std::in_place_index<kStringIdx>, s) {}  // NOLINT
+  Json(JsonArray a);                                               // NOLINT
+  Json(JsonObject o);                                              // NOLINT
 
   Json(const Json&);
   Json(Json&&) noexcept;
@@ -56,18 +63,20 @@ class Json {
   static Json array() { return Json(JsonArray{}); }
   static Json object() { return Json(JsonObject{}); }
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  Type type() const { return static_cast<Type>(v_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_number() const { return type() == Type::kNumber; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
 
   // Typed accessors. Calling the wrong accessor is a programming error
   // (asserts in debug; returns a zero value in release).
-  bool as_bool() const { return is_bool() ? bool_ : false; }
-  double as_number() const { return is_number() ? num_ : 0.0; }
+  bool as_bool() const { return is_bool() && *std::get_if<kBoolIdx>(&v_); }
+  double as_number() const {
+    return is_number() ? *std::get_if<kNumberIdx>(&v_) : 0.0;
+  }
   std::int64_t as_int() const { return static_cast<std::int64_t>(as_number()); }
   const std::string& as_string() const;
   const JsonArray& as_array() const;
@@ -93,22 +102,37 @@ class Json {
   // Serialization. dump() is compact; pretty() indents with two spaces.
   std::string dump() const;
   std::string pretty() const;
+  // dump().size(), counted without building the string.
+  std::size_t dump_size() const;
+
+  // Turns this value into what Json::parse(dump()) returns: NaN and +-Inf
+  // become null, -0.0 becomes 0, and a tree nested deeper than parse()
+  // accepts becomes null as a whole. Returns the dump_size() the value had
+  // before the call, counted in the same walk. net::Network runs it on
+  // every message body, so a receiver sees what parsing the text would have
+  // given it.
+  std::size_t canonicalize();
 
   // Parsing. Accepts strict JSON; returns parse errors with position info.
+  // Values nested inside more than kMaxDepth containers are rejected.
+  static constexpr int kMaxDepth = 128;
   static Result<Json> parse(std::string_view text);
 
   bool operator==(const Json& other) const;
 
  private:
-  void dump_to(std::string* out, int indent, int depth) const;
-
-  Type type_;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::string str_;
-  // unique_ptr keeps Json small and breaks the recursive type.
-  std::unique_ptr<JsonArray> arr_;
-  std::unique_ptr<JsonObject> obj_;
+  static constexpr auto kBoolIdx = static_cast<std::size_t>(Type::kBool);
+  static constexpr auto kNumberIdx = static_cast<std::size_t>(Type::kNumber);
+  static constexpr auto kStringIdx = static_cast<std::size_t>(Type::kString);
+  static constexpr auto kArrayIdx = static_cast<std::size_t>(Type::kArray);
+  static constexpr auto kObjectIdx = static_cast<std::size_t>(Type::kObject);
+  // One alternative per Type. Containers live behind a pointer, which keeps
+  // a Json at 40 bytes and breaks the recursive type; a moved-from array or
+  // object keeps its Type with a null pointer and reads as empty.
+  using Storage = std::variant<std::nullptr_t, bool, double, std::string,
+                               std::unique_ptr<JsonArray>,
+                               std::unique_ptr<JsonObject>>;
+  Storage v_;
 };
 
 }  // namespace picloud::util

@@ -2,10 +2,14 @@
 // node-level pre-IP messaging, drop semantics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "net/addr.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "sim/simulation.h"
+#include "util/json.h"
 
 namespace picloud::net {
 namespace {
@@ -53,20 +57,20 @@ TEST(Network, UnicastDeliveryWithLatency) {
   w.network.bind_ip(a, w.topo.hosts[0]);
   w.network.bind_ip(b, w.topo.hosts[1]);
   sim::SimTime delivered_at;
-  std::string got;
+  util::Json got;
   w.network.listen(b, 80, [&](const Message& msg) {
-    got = msg.payload;
+    got = msg.body;
     delivered_at = w.sim.now();
   });
   Message msg;
   msg.src = a;
   msg.dst = b;
   msg.dst_port = 80;
-  msg.payload = "hello";
+  msg.body = "hello";
   EXPECT_TRUE(w.network.send(msg));
   w.sim.run();
-  EXPECT_EQ(got, "hello");
-  // Serialization (69 B over 100 Mb) + 2 hops of 50 us propagation.
+  EXPECT_EQ(got, util::Json("hello"));
+  // Serialization (71 B over 100 Mb) + 2 hops of 50 us propagation.
   EXPECT_GT(delivered_at.to_seconds(), 100e-6);
   EXPECT_EQ(w.network.messages_delivered(), 1u);
 }
@@ -181,6 +185,61 @@ TEST(Network, PaddingBytesStretchTransferTime) {
   w.network.send(big);
   w.sim.run();
   EXPECT_GT((big_at - start).to_seconds(), 0.09);
+}
+
+TEST(Network, FabricIsChargedTheBodyTextSize) {
+  MessageWorld w;
+  Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  w.network.bind_ip(a, w.topo.hosts[0]);
+  w.network.bind_ip(b, w.topo.hosts[1]);
+  util::Json delivered;
+  w.network.listen(b, 80, [&](const Message& msg) { delivered = msg.body; });
+  util::Json body = util::Json::object();
+  body.set("id", 7);
+  body.set("path", "/a \"b\"\n");
+  body.set("cost", 1.5);
+  body.set("tags", util::JsonArray{util::Json(true), util::Json()});
+  Message msg;
+  msg.src = a;
+  msg.dst = b;
+  msg.dst_port = 80;
+  msg.body = body;
+  msg.padding_bytes = 1000;
+  const std::string text = body.dump();
+  EXPECT_EQ(msg.wire_bytes(),
+            64.0 + static_cast<double>(text.size()) + 1000.0);
+  ASSERT_TRUE(w.network.send(msg));
+  w.sim.run();
+  EXPECT_EQ(delivered, body);
+  // host0 -> ToR -> host1: both hops carry exactly the charged bytes.
+  EXPECT_EQ(w.fabric.total_bytes_carried(),
+            2 * (64.0 + static_cast<double>(text.size()) + 1000.0));
+}
+
+TEST(Network, ReceiverSeesWhatParsingTheTextGives) {
+  MessageWorld w;
+  Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  w.network.bind_ip(a, w.topo.hosts[0]);
+  w.network.bind_ip(b, w.topo.hosts[1]);
+  util::Json delivered;
+  w.network.listen(b, 80, [&](const Message& msg) { delivered = msg.body; });
+  util::Json body = util::Json::object();
+  body.set("nan", std::nan(""));
+  body.set("inf", -HUGE_VAL);
+  body.set("negzero", -0.0);
+  Message msg;
+  msg.src = a;
+  msg.dst = b;
+  msg.dst_port = 80;
+  msg.body = body;
+  ASSERT_TRUE(w.network.send(msg));
+  w.sim.run();
+  auto reparsed = util::Json::parse(body.dump());
+  ASSERT_TRUE(reparsed.ok());
+  EXPECT_EQ(delivered, reparsed.value());
+  EXPECT_TRUE(delivered.get("nan").is_null());
+  EXPECT_TRUE(delivered.get("inf").is_null());
+  EXPECT_FALSE(std::signbit(delivered.get("negzero").as_number()));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // DHCP DORA handshake, DNS resolution with caching.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cloud/cloud.h"
 #include "net/topology.h"
 #include "proto/dhcp.h"
@@ -48,6 +50,60 @@ TEST(Http, ParseRejectsGarbage) {
   EXPECT_FALSE(HttpRequest::parse(R"({"m":"FETCH","p":"/x"})").ok());
   EXPECT_FALSE(HttpRequest::parse(R"({"m":"GET","p":"no-slash"})").ok());
   EXPECT_FALSE(HttpResponse::parse(R"({"s":9999})").ok());
+}
+
+TEST(Http, RequestEnvelopeRoundTrip) {
+  HttpRequest req;
+  req.method = Method::kDelete;
+  req.path = "/containers/web-1";
+  req.body = Json::object().set("force", true);
+  req.id = 12345;
+  const Json envelope = req.to_json();
+  EXPECT_EQ(envelope.get_string("m"), "DELETE");
+  EXPECT_EQ(envelope.get_string("p"), req.path);
+  EXPECT_EQ(envelope.get("b"), req.body);
+  EXPECT_EQ(envelope.get_number("i"), 12345.0);
+  EXPECT_EQ(envelope.dump(), req.serialize());
+  auto back = HttpRequest::from_json(envelope);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().method, req.method);
+  EXPECT_EQ(back.value().path, req.path);
+  EXPECT_EQ(back.value().body, req.body);
+  EXPECT_EQ(back.value().id, req.id);
+  // A body-less request leaves "b" out, as the text form always has.
+  req.body = Json();
+  EXPECT_FALSE(req.to_json().has("b"));
+  EXPECT_TRUE(HttpRequest::from_json(req.to_json()).value().body.is_null());
+}
+
+TEST(Http, ResponseEnvelopeRoundTrip) {
+  HttpResponse resp = HttpResponse::make(404, Json("gone"));
+  resp.id = 3;
+  const Json envelope = resp.to_json();
+  EXPECT_EQ(envelope.dump(), resp.serialize());
+  auto back = HttpResponse::from_json(envelope);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().status, 404);
+  EXPECT_EQ(back.value().body, Json("gone"));
+  EXPECT_EQ(back.value().id, 3u);
+}
+
+TEST(Http, FromJsonRejectsWhatParseRejects) {
+  for (const char* bad : {R"({"m":"FETCH","p":"/x"})",
+                          R"({"m":"GET","p":"no-slash"})", R"({"m":"GET"})",
+                          "null", "[]"}) {
+    auto envelope = Json::parse(bad);
+    ASSERT_TRUE(envelope.ok()) << bad;
+    EXPECT_FALSE(HttpRequest::from_json(envelope.value()).ok()) << bad;
+    EXPECT_FALSE(HttpRequest::parse(bad).ok()) << bad;
+  }
+  for (const char* bad : {R"({"s":9999})", R"({"s":99})", R"({"b":1})",
+                          "null"}) {
+    auto envelope = Json::parse(bad);
+    ASSERT_TRUE(envelope.ok()) << bad;
+    EXPECT_FALSE(HttpResponse::from_json(envelope.value()).ok()) << bad;
+    EXPECT_FALSE(HttpResponse::parse(bad).ok()) << bad;
+  }
 }
 
 TEST(Router, LiteralAndParamRoutes) {
@@ -203,6 +259,34 @@ TEST(Rest, EndToEndCall) {
   EXPECT_EQ(server.requests_served(), 1u);
   server.stop();
   EXPECT_FALSE(server.serving());
+}
+
+TEST(Rest, ServerAnswersAMalformedEnvelopeWith400) {
+  RestWorld w;
+  RestServer server(w.network, w.server_ip, 8080, &w.router);
+  server.start();
+  std::vector<HttpResponse> replies;
+  w.network.listen(w.client_ip, 5000, [&](const net::Message& msg) {
+    auto resp = HttpResponse::from_json(msg.body);
+    ASSERT_TRUE(resp.ok());
+    replies.push_back(resp.value());
+  });
+  for (const char* bad : {R"({"m":"FETCH","p":"/x","i":1})",
+                          R"({"m":"GET","p":"no-slash","i":2})"}) {
+    net::Message msg;
+    msg.src = w.client_ip;
+    msg.dst = w.server_ip;
+    msg.src_port = 5000;
+    msg.dst_port = 8080;
+    msg.body = Json::parse(bad).value();
+    ASSERT_TRUE(w.network.send(std::move(msg)));
+  }
+  w.sim.run();
+  ASSERT_EQ(replies.size(), 2u);
+  for (const HttpResponse& resp : replies) {
+    EXPECT_EQ(resp.status, 400);
+    EXPECT_EQ(resp.body.get_string("error"), "bad_request");
+  }
 }
 
 TEST(Rest, AsyncHandlerRespondsLater) {

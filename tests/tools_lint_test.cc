@@ -797,6 +797,57 @@ TEST(LintRestRetry, SuppressionCommentSilences) {
 }
 
 // ---------------------------------------------------------------------------
+// wire-parse
+
+TEST(LintWireParse, FlagsTextParsingOnTheMessagePath) {
+  auto diags = lint_content(
+      "src/apps/x.cc",
+      "void f(const std::string& s) {\n"
+      "  auto j = util::Json::parse(s);\n"
+      "  auto req = proto::HttpRequest::parse(s);\n"
+      "  auto resp = HttpResponse::parse(s);\n"
+      "}\n");
+  ASSERT_EQ(diags.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(diags[i].rule, "wire-parse");
+    EXPECT_EQ(diags[i].line, i + 2);
+  }
+  EXPECT_NE(diags[0].message.find("msg.body"), std::string::npos);
+}
+
+TEST(LintWireParse, EdgesAndNonSrcTreesMayParse) {
+  const std::string body = "auto j = util::Json::parse(text);\n";
+  for (const char* path : {"src/util/json.cc", "src/proto/http.cc",
+                           "src/mc/schedule.cc", "/abs/repo/src/mc/schedule.cc",
+                           "tests/x_test.cc", "tools/mc/picloud_mc.cc",
+                           "perfbench/layers.cc"}) {
+    EXPECT_FALSE(has_rule(lint_content(path, body), "wire-parse")) << path;
+  }
+  // An edge's name must match as a whole path, not as a suffix.
+  EXPECT_TRUE(
+      has_rule(lint_content("src/proto/xhttp.cc", body), "wire-parse"));
+}
+
+TEST(LintWireParse, NearMissesAreClean) {
+  EXPECT_TRUE(lint_content("src/proto/x.cc",
+                           "auto ip = net::Ipv4Addr::parse(s);\n"
+                           "auto m = parse_method(name);\n"
+                           "auto r = parser.parse(s);\n"
+                           "const char* doc = \"Json::parse(s)\";\n"
+                           "// Json::parse(s) used to run here\n"
+                           "auto req = HttpRequest::from_json(msg.body);\n")
+                  .empty());
+}
+
+TEST(LintWireParse, SuppressionCommentSilences) {
+  auto diags = lint_content(
+      "src/cloud/x.cc",
+      "// picloud-lint: allow(wire-parse)\n"
+      "auto j = util::Json::parse(config_text);\n");
+  EXPECT_FALSE(has_rule(diags, "wire-parse"));
+}
+
+// ---------------------------------------------------------------------------
 // metrics-registry
 
 TEST(LintMetricsRegistry, FlagsStatsStructWithoutRegistryTies) {

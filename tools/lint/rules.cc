@@ -339,6 +339,48 @@ void rest_retry_rule(const ProjectModel& model, int fi,
   }
 }
 
+// --- wire-parse --------------------------------------------------------------
+//
+// Messages cross net::Network as util::Json values (DESIGN.md §15): JSON
+// text exists only at the model's edges, so a Json::parse /
+// HttpRequest::parse / HttpResponse::parse reference anywhere else in src/
+// is the in-process dump->parse round trip creeping back onto the message
+// path. The edges: the parser itself, the HTTP envelope's text form, and
+// the model checker's counterexample files. Scenario JSON is parsed by its
+// callers outside src/ (tests, tools).
+
+constexpr const char* kWireParseEdges[] = {
+    "src/util/json.cc", "src/proto/http.cc", "src/mc/schedule.cc"};
+
+bool path_is(const std::string& path, const std::string& repo_path) {
+  return path == repo_path ||
+         (path.size() > repo_path.size() &&
+          path.compare(path.size() - repo_path.size() - 1, std::string::npos,
+                       "/" + repo_path) == 0);
+}
+
+void wire_parse_rule(const ProjectModel& model, int fi,
+                     const Reporter& report) {
+  const SourceFile& f = model.files()[fi];
+  if (f.module.empty()) return;  // src/ only
+  for (const char* edge : kWireParseEdges) {
+    if (path_is(f.path, edge)) return;
+  }
+  const FileView v(f);
+  for (int ci = 2; ci < v.n; ++ci) {
+    if (!v.ident(ci, "parse") || !v.punct(ci - 1, "::")) continue;
+    if (!v.ident(ci - 2, "Json") && !v.ident(ci - 2, "HttpRequest") &&
+        !v.ident(ci - 2, "HttpResponse")) {
+      continue;
+    }
+    report(fi, v.tok(ci).line, "wire-parse",
+           "'" + v.tok(ci - 2).text +
+               "::parse' outside the JSON edges; messages carry util::Json "
+               "values, so read msg.body (or from_json()) instead of "
+               "parsing text (DESIGN.md §15)");
+  }
+}
+
 // --- invariant-catalogue -----------------------------------------------------
 
 void invariant_catalogue_rule(const ProjectModel& model, int fi,
@@ -726,6 +768,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "RestClient call must state a RetryPolicy or timeout"},
       {"metrics-registry",
        "telemetry must flow through the MetricsRegistry / PICLOUD_LOG spine"},
+      {"wire-parse",
+       "Json/HttpRequest/HttpResponse::parse in src/ outside the JSON edges "
+       "(util/json.cc, proto/http.cc, mc/schedule.cc)"},
       {"invariant-catalogue",
        "probe_* factories in src/testing must be register_probe()d"},
       {"hot-path-alloc",
@@ -750,6 +795,7 @@ std::vector<Diagnostic> analyze(const ProjectModel& model,
     event_capture_rule(model, fi, report);
     schedule_point_rule(model, fi, report);
     rest_retry_rule(model, fi, report);
+    wire_parse_rule(model, fi, report);
     invariant_catalogue_rule(model, fi, report);
     hot_path_alloc_rule(model, fi, report);
     if (options.whole_program) {
