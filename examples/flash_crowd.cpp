@@ -135,7 +135,7 @@ int main() {
               static_cast<unsigned long long>(clients.retries()),
               static_cast<unsigned long long>(clients.retries_denied()),
               clients.latencies().median(), clients.latencies().p99());
-  std::printf("the tier survived the crowd: %s\n",
-              clients.completed() > clients.sent() / 2 ? "yes" : "no");
-  return 0;
+  const bool survived = clients.completed() > clients.sent() / 2;
+  std::printf("the tier survived the crowd: %s\n", survived ? "yes" : "no");
+  return survived ? 0 : 1;
 }

@@ -415,7 +415,9 @@ class Parser {
       skip_ws();
       Result<Json> value = parse_value();
       if (!value.ok()) return value;
-      obj.set(key.value(), std::move(value).value());
+      // Last duplicate key wins, as with set().
+      obj.mutable_object().insert_or_assign(std::move(key).value(),
+                                            std::move(value).value());
       skip_ws();
       if (eat(',')) continue;
       if (eat('}')) break;

@@ -50,7 +50,10 @@ double Rng::next_double() {
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   PICLOUD_CHECK_LE(lo, hi) << "uniform_int bounds";
-  std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: a span wider than INT64_MAX would overflow hi - lo
+  // and lo + offset as signed integers; modulo 2^64 both come out right.
+  const auto ulo = static_cast<std::uint64_t>(lo);
+  std::uint64_t range = static_cast<std::uint64_t>(hi) - ulo + 1;
   if (range == 0) return static_cast<std::int64_t>(next_u64());  // full range
   // Rejection sampling to avoid modulo bias.
   std::uint64_t limit = ~0ULL - (~0ULL % range + 1) % range;
@@ -58,7 +61,7 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   do {
     v = next_u64();
   } while (v > limit);
-  return lo + static_cast<std::int64_t>(v % range);
+  return static_cast<std::int64_t>(ulo + v % range);
 }
 
 double Rng::uniform(double lo, double hi) {

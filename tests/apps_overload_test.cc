@@ -298,5 +298,297 @@ TEST(KvStoreOverload, BrownoutServesMetadataOnly) {
   EXPECT_FALSE(app->brownout_active());
 }
 
+// --- Shared admission-queue characterization (httpd and kvstore) ------------
+//
+// Both servers run the same admission policy (DESIGN.md §11). These tests
+// pin what it does, kind by kind: deadline sheds at the queue head, the
+// stop()-time drain, the registry aggregates across instances and the
+// brownout hysteresis.
+
+struct ServerKnobs {
+  int capacity = 64;
+  int concurrency = 1;
+  sim::Duration deadline = sim::Duration::seconds(10);
+  double cycles = 2e7;  // ~29 ms of a 700 MHz Pi per request
+};
+
+std::unique_ptr<os::ContainerApp> make_server(const std::string& kind,
+                                              const ServerKnobs& k) {
+  if (kind == "httpd") {
+    HttpdParams p;
+    p.queue_capacity = k.capacity;
+    p.service_concurrency = k.concurrency;
+    p.queue_deadline = k.deadline;
+    p.cycles_per_request = k.cycles;
+    return std::make_unique<HttpdApp>(p);
+  }
+  KvStoreParams p;
+  p.queue_capacity = k.capacity;
+  p.service_concurrency = k.concurrency;
+  p.queue_deadline = k.deadline;
+  p.cycles_per_op = k.cycles;
+  return std::make_unique<KvStoreApp>(p);
+}
+
+// One server's accessors, read the same way for both kinds.
+struct Tally {
+  std::uint64_t received = 0;
+  std::uint64_t served = 0;  // every completed request, brownout included
+  std::uint64_t served_brownout = 0;
+  std::uint64_t shed_admission = 0;
+  std::uint64_t shed_deadline = 0;
+  std::uint64_t refused_at_start = 0;
+  std::uint64_t queue_depth = 0;
+  int in_service = 0;
+  bool brownout = false;
+};
+
+Tally tally(const os::ContainerApp* app) {
+  if (const auto* h = dynamic_cast<const HttpdApp*>(app)) {
+    return {h->requests_received(), h->requests_served(), h->served_brownout(),
+            h->shed_admission(),    h->shed_deadline(),   h->refused_at_start(),
+            h->queue_depth(),       h->in_service(),      h->brownout_active()};
+  }
+  const auto* k = dynamic_cast<const KvStoreApp*>(app);
+  return {k->ops_received(),   k->ops_served(),      k->served_brownout(),
+          k->shed_admission(), k->shed_deadline(),   k->refused_at_start(),
+          k->queue_depth(),    k->in_service(),      k->brownout_active()};
+}
+
+// Fires raw request datagrams at a server and keeps every reply.
+struct BurstClient {
+  net::Network& network;
+  net::Ipv4Addr self;
+  std::uint16_t port = 41000;
+  int next_id = 1;
+  std::vector<util::Json> replies;
+
+  BurstClient(net::Network& n, net::Ipv4Addr ip) : network(n), self(ip) {
+    network.listen(self, port, [this](const net::Message& m) {
+      replies.push_back(m.body);
+    });
+  }
+  ~BurstClient() { network.unlisten(self, port); }
+  BurstClient(const BurstClient&) = delete;
+  BurstClient& operator=(const BurstClient&) = delete;
+
+  void burst(const std::string& kind, net::Ipv4Addr server, int count) {
+    for (int i = 0; i < count; ++i) {
+      util::Json body = util::Json::object();
+      body.set("id", next_id++);
+      net::Message msg;
+      msg.src = self;
+      msg.src_port = port;
+      msg.dst = server;
+      if (kind == "httpd") {
+        body.set("path", "/");
+        msg.dst_port = 80;
+      } else {
+        body.set("op", "del");
+        body.set("key", "k");
+        msg.dst_port = 6379;
+      }
+      msg.body = std::move(body);
+      network.send(std::move(msg));
+    }
+  }
+
+  std::uint64_t shed_replies(const std::string& cause) const {
+    std::uint64_t n = 0;
+    for (const util::Json& r : replies) n += r.get_string("shed") == cause;
+    return n;
+  }
+};
+
+class ServingQueueTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  std::string kind() const { return GetParam(); }
+  std::string series(const std::string& leaf) const {
+    return "apps." + kind() + "." + leaf;
+  }
+  void run_for(FlashWorld& w, sim::Duration d) {
+    w.sim.run_until(w.sim.now() + d);
+  }
+};
+
+TEST_P(ServingQueueTest, DeadlineShedsAtTheQueueHead) {
+  FlashWorld w(2);
+  ServerKnobs k;
+  k.deadline = sim::Duration::millis(100);  // ~3 services' worth of wait
+  auto ip = w.launch(0, "srv", make_server(kind(), k));
+  const os::ContainerApp* app = w.nodes[0]->find_container("srv")->app();
+  BurstClient client(w.network, w.client_ip);
+  client.burst(kind(), ip, 20);
+  w.sim.run();
+
+  const Tally t = tally(app);
+  EXPECT_GT(t.shed_deadline, 0u);
+  EXPECT_GT(t.served, 0u);
+  EXPECT_EQ(t.shed_admission, 0u);
+  EXPECT_EQ(client.shed_replies("deadline"), t.shed_deadline);
+  EXPECT_EQ(client.replies.size(), 20u);
+  EXPECT_EQ(t.received, t.served + t.shed_deadline);
+}
+
+TEST_P(ServingQueueTest, StopMovesTheBacklogIntoRefusedAtStart) {
+  FlashWorld w(2);
+  auto ip = w.launch(0, "srv", make_server(kind(), ServerKnobs{}));
+  os::Container* c = w.nodes[0]->find_container("srv");
+  BurstClient client(w.network, w.client_ip);
+  client.burst(kind(), ip, 10);
+  run_for(w, sim::Duration::millis(10));  // delivered, first one in service
+
+  const Tally before = tally(c->app());
+  ASSERT_EQ(before.received, 10u);
+  ASSERT_GT(before.queue_depth, 0u);
+  EXPECT_EQ(w.sim.metrics().gauge_value(series("queue_depth")),
+            static_cast<double>(before.queue_depth));
+  ASSERT_TRUE(c->stop().ok());
+  EXPECT_GE(tally(c->app()).refused_at_start, before.queue_depth);
+  w.sim.run();
+
+  const Tally after = tally(c->app());
+  EXPECT_EQ(after.queue_depth, 0u);
+  EXPECT_EQ(after.in_service, 0);
+  EXPECT_EQ(after.refused_at_start,
+            before.queue_depth + static_cast<std::uint64_t>(before.in_service));
+  EXPECT_EQ(after.received, after.served + after.refused_at_start);
+  EXPECT_EQ(w.sim.metrics().gauge_value(series("queue_depth")), 0.0);
+  EXPECT_EQ(w.sim.metrics().counter_value(series("refused_at_start")),
+            after.refused_at_start);
+}
+
+TEST_P(ServingQueueTest, RegistrySeriesAggregateAcrossInstances) {
+  FlashWorld w(3);
+  ServerKnobs k;
+  k.capacity = 8;
+  k.deadline = sim::Duration::millis(20);  // brownout serves in ~7 ms
+  std::vector<net::Ipv4Addr> ips;
+  std::vector<os::Container*> servers;
+  for (int i = 0; i < 2; ++i) {
+    const std::string name = "srv" + std::to_string(i);
+    ips.push_back(w.launch(i, name, make_server(kind(), k)));
+    servers.push_back(w.nodes[i]->find_container(name));
+  }
+  BurstClient client(w.network, w.client_ip);
+  // Instance 0 sheds at admission and at the deadline; instance 1 is
+  // stopped with a backlog.
+  client.burst(kind(), ips[0], 20);
+  client.burst(kind(), ips[1], 6);
+  run_for(w, sim::Duration::millis(10));
+  ASSERT_TRUE(servers[1]->stop().ok());
+  w.sim.run();
+
+  Tally sum;
+  for (const os::Container* c : servers) {
+    const Tally t = tally(c->app());
+    EXPECT_EQ(t.received, t.served + t.shed_admission + t.shed_deadline +
+                              t.refused_at_start);
+    sum.received += t.received;
+    sum.served += t.served;
+    sum.served_brownout += t.served_brownout;
+    sum.shed_admission += t.shed_admission;
+    sum.shed_deadline += t.shed_deadline;
+    sum.refused_at_start += t.refused_at_start;
+  }
+  EXPECT_GT(sum.shed_admission, 0u);
+  EXPECT_GT(sum.shed_deadline, 0u);
+  EXPECT_GT(sum.refused_at_start, 0u);
+  EXPECT_EQ(client.shed_replies("admission"), sum.shed_admission);
+  EXPECT_EQ(client.shed_replies("deadline"), sum.shed_deadline);
+
+  const util::MetricsRegistry& reg = w.sim.metrics();
+  const bool httpd = kind() == "httpd";
+  EXPECT_EQ(reg.counter_value(series(httpd ? "requests_received"
+                                           : "ops_received")),
+            sum.received);
+  if (httpd) {
+    EXPECT_EQ(reg.counter_value(series("served_ok")),
+              sum.served - sum.served_brownout);
+  } else {
+    EXPECT_EQ(reg.counter_value(series("ops_served")), sum.served);
+  }
+  EXPECT_EQ(reg.counter_value(series("served_brownout")), sum.served_brownout);
+  EXPECT_EQ(reg.counter_value(series("shed_admission")), sum.shed_admission);
+  EXPECT_EQ(reg.counter_value(series("shed_deadline")), sum.shed_deadline);
+  EXPECT_EQ(reg.counter_value(series("refused_at_start")),
+            sum.refused_at_start);
+  EXPECT_EQ(reg.gauge_value(series("queue_depth")), 0.0);
+}
+
+TEST_P(ServingQueueTest, BrownoutEntersAndLeavesWithHysteresis) {
+  FlashWorld w(2);
+  ServerKnobs k;
+  k.capacity = 16;
+  k.cycles = 5e6;
+  auto ip = w.launch(0, "srv", make_server(kind(), k));
+  const os::ContainerApp* app = w.nodes[0]->find_container("srv")->app();
+  BurstClient client(w.network, w.client_ip);
+  for (int round = 0; round < 2; ++round) {
+    client.burst(kind(), ip, 16);  // 15 queued behind one in service: 94 %
+    run_for(w, sim::Duration::millis(5));
+    EXPECT_TRUE(tally(app).brownout) << "round " << round;
+    w.sim.run();
+    EXPECT_FALSE(tally(app).brownout) << "round " << round;
+  }
+  const Tally t = tally(app);
+  EXPECT_GT(t.served_brownout, 0u);
+  EXPECT_LT(t.served_brownout, t.served);
+  EXPECT_EQ(t.received, t.served);
+
+  const util::MetricsRegistry& reg = w.sim.metrics();
+  if (kind() == "httpd") {
+    EXPECT_EQ(reg.counter_value("apps.httpd.brownout_entered"), 2u);
+  } else {
+    EXPECT_FALSE(reg.has("apps.kvstore.brownout_entered"));
+  }
+}
+
+// HttpdParams::to_json() goes on the wire in spawn bodies, so its bytes are
+// pinned; both kinds read the same flat admission keys over their own
+// defaults.
+TEST(ServingQueueParams, FlatKeysAndPerAppDefaults) {
+  EXPECT_EQ(HttpdParams().to_json().dump(),
+            R"({"admission_control":1,"brownout_bytes_factor":0.125,)"
+            R"("brownout_cycles_factor":0.25,"brownout_enter_fill":0.75,)"
+            R"("brownout_exit_fill":0.25,"cycles_per_request":2000000,)"
+            R"("port":80,"queue_capacity":64,"queue_deadline_ns":750000000,)"
+            R"("response_bytes":8192,"service_concurrency":4,)"
+            R"("working_set_bytes":10485760})");
+  EXPECT_EQ(HttpdParams::from_json(util::Json::object()).queue_capacity, 64);
+  const KvStoreParams kv_defaults =
+      KvStoreParams::from_json(util::Json::object());
+  EXPECT_EQ(kv_defaults.queue_capacity, 128);
+  EXPECT_EQ(kv_defaults.service_concurrency, 4);
+  EXPECT_EQ(kv_defaults.queue_deadline.ns(), 750'000'000);
+  EXPECT_TRUE(kv_defaults.admission_control);
+
+  util::Json keys = util::Json::object();
+  keys.set("admission_control", 0);
+  keys.set("queue_capacity", 7);
+  keys.set("service_concurrency", 2);
+  keys.set("queue_deadline_ns", 5e6);
+  keys.set("brownout_enter_fill", 0.5);
+  keys.set("brownout_exit_fill", 0.125);
+  keys.set("brownout_cycles_factor", 0.5);
+  const HttpdParams web = HttpdParams::from_json(keys);
+  auto expect_keys_read = [](const auto& p) {
+    EXPECT_FALSE(p.admission_control);
+    EXPECT_EQ(p.queue_capacity, 7);
+    EXPECT_EQ(p.service_concurrency, 2);
+    EXPECT_EQ(p.queue_deadline.ns(), 5'000'000);
+    EXPECT_EQ(p.brownout_enter_fill, 0.5);
+    EXPECT_EQ(p.brownout_exit_fill, 0.125);
+    EXPECT_EQ(p.brownout_cycles_factor, 0.5);
+  };
+  expect_keys_read(KvStoreParams::from_json(keys));
+  expect_keys_read(web);
+  EXPECT_EQ(HttpdParams::from_json(web.to_json()).to_json(), web.to_json());
+}
+
+INSTANTIATE_TEST_SUITE_P(BothServers, ServingQueueTest,
+                         ::testing::Values("httpd", "kvstore"),
+                         [](const auto& info) { return info.param; });
+
 }  // namespace
 }  // namespace picloud::apps

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "util/check.h"
 #include "util/faults.h"
@@ -151,6 +153,14 @@ TEST(Json, ParseRejectsMalformed) {
   EXPECT_FALSE(Json::parse("\"unterminated").ok());
 }
 
+TEST(Json, DuplicateKeysLastOneWins) {
+  auto parsed = Json::parse(R"({"a":1,"b":true,"a":2})");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().size(), 2u);
+  EXPECT_EQ(parsed.value().get_number("a"), 2.0);
+  EXPECT_TRUE(parsed.value().get_bool("b"));
+}
+
 TEST(Json, UnicodeEscapes) {
   auto parsed = Json::parse(R"("Aé")");
   ASSERT_TRUE(parsed.ok());
@@ -262,6 +272,32 @@ TEST(Rng, UniformIntCoversRangeInclusive) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
+}
+
+// Spans wider than INT64_MAX: the arithmetic must not overflow a signed
+// integer (the UBSan leg traps it) and every draw stays in bounds.
+TEST(Rng, UniformIntWideSpans) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t k62 = std::int64_t{1} << 62;
+  Rng rng(11);
+  bool saw_negative = false;
+  bool saw_positive = false;
+  for (int i = 0; i < 1000; ++i) {
+    const std::int64_t full = rng.uniform_int(kMin, kMax);
+    saw_negative |= full < 0;
+    saw_positive |= full > 0;
+    const std::int64_t v = rng.uniform_int(-k62, k62);
+    ASSERT_GE(v, -k62);
+    ASSERT_LE(v, k62);
+    const std::int64_t top = rng.uniform_int(kMin + 1, kMax);
+    ASSERT_GT(top, kMin);
+  }
+  EXPECT_TRUE(saw_negative);
+  EXPECT_TRUE(saw_positive);
+  // A degenerate span at either extreme returns its only value.
+  EXPECT_EQ(rng.uniform_int(kMin, kMin), kMin);
+  EXPECT_EQ(rng.uniform_int(kMax, kMax), kMax);
 }
 
 TEST(Rng, ExponentialMeanConverges) {
